@@ -14,7 +14,9 @@ sqrt(2 ln 2) = 1.1774 whenever compared against closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,13 +133,36 @@ class Slice1D:
 # ---------------------------------------------------------------------------
 # joint densities
 
+# rows per block of the position grid; blocks this tall reproduce the
+# unblocked GEMM bit for bit, while very short ones take another BLAS path
+_POSITION_BLOCK_ROWS = 256
+
+
+def _position_block(w, members, out, lo, hi):
+    """Weighted sum over members of |w[lo:hi] c w^T|^2 into out[lo:hi].
+
+    Runs in worker threads, so it calls nothing but numpy: the package's
+    functions then only ever run on the calling thread.
+    """
+    acc = out[lo:hi]
+    acc[...] = 0.0
+    buf = np.empty_like(acc)
+    for weight, c in members:
+        np.abs(w[lo:hi] @ c @ w.T, out=buf)
+        np.square(buf, out=buf)
+        buf *= weight
+        acc += buf
+
+
 def joint_position_density(
-    state: TwoAtomState, orbital, samples_per_site: int = 32
+    state: TwoAtomState, orbital, samples_per_site: int = 32, jobs: int = 1
 ) -> DistributionGrid:
     """P(x1, x2) = |sum_jl c_jl w(x1 - j) w(x2 - l)|^2 on the periodic box.
 
-    Ensemble states are weight-averaged.  Raises GridError when the grid
-    step exceeds a quarter of the orbital width.
+    Ensemble states are weight-averaged.  The grid is evaluated in blocks of
+    rows whose bounds depend only on the grid size, on up to ``jobs``
+    threads; the result does not depend on ``jobs``.  Raises GridError when
+    the grid step exceeds a quarter of the orbital width.
     """
     n = state.n_sites
     step = 1.0 / samples_per_site
@@ -150,10 +175,12 @@ def joint_position_density(
     sites = np.arange(n, dtype=float)
     dx = (x[:, None] - sites[None, :] + n / 2.0) % n - n / 2.0
     w = _orbital_amplitude(orbital, dx)           # (G, N)
-    dens = np.zeros((len(x), len(x)))
-    for weight, c in state.members:
-        psi = w @ c @ w.T
-        dens += weight * np.abs(psi) ** 2
+    g = len(x)
+    bounds = np.linspace(0, g, -(-g // _POSITION_BLOCK_ROWS) + 1).astype(int)
+    dens = np.empty((g, g))
+    block = functools.partial(_position_block, w, state.members, dens)
+    with ThreadPoolExecutor(max_workers=min(jobs, len(bounds) - 1)) as pool:
+        list(pool.map(block, bounds[:-1], bounds[1:]))  # re-raises failures
     dens /= dens.sum() * step * step
     return DistributionGrid(axis1=x, axis2=x.copy(), density=dens, kind="position")
 

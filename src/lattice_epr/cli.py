@@ -42,16 +42,31 @@ class _Writer:
         self.written = []
 
     def table(self, name, columns, rows):
+        """Write a table of ``rows``, or of every point of a DistributionGrid
+        as (axis1, axis2, density) rows in C order."""
         os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir, name)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# lattice-epr {__version__}\n")
             fh.write(f"# scenario sha256: {self.scenario.sha256}\n")
             fh.write(self.delimiter.join(columns) + "\n")
-            for row in rows:
-                fh.write(self.delimiter.join(_fmt(v) for v in row) + "\n")
+            if isinstance(rows, analysis.DistributionGrid):
+                self._grid(fh, rows)
+            else:
+                for row in rows:
+                    fh.write(self.delimiter.join(_fmt(v) for v in row) + "\n")
         self.written.append(path)
         return path
+
+    def _grid(self, fh, grid):
+        # "%.12g" % v is format(v, ".12g") for every float, so one string
+        # template per grid row formats all of its values in a single call
+        d = self.delimiter
+        middles = [d + _fmt(x2) + d for x2 in grid.axis2.tolist()]
+        for x1, values in zip(grid.axis1.tolist(), grid.density):
+            head = _fmt(x1)
+            template = head + ("%.12g\n" + head).join(middles) + "%.12g\n"
+            fh.write(template % tuple(values.tolist()))
 
     def cleanup(self):
         for path in self.written:
@@ -61,10 +76,16 @@ class _Writer:
                 pass
 
 
-def _grid_rows(grid):
-    for i, x1 in enumerate(grid.axis1):
-        for j, x2 in enumerate(grid.axis2):
-            yield (x1, x2, grid.density[i, j])
+def _jobs(args):
+    """Worker count: ``--jobs``, or every core when it is not given."""
+    return args.jobs or os.cpu_count() or 1
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _cmd_bands(sc: Scenario, writer: _Writer, args):
@@ -147,14 +168,18 @@ def _cmd_distributions(sc: Scenario, writer: _Writer, args):
     state = pipeline.build_state(sc, dia.hamiltonian)
     orbital = lat.wannier0
     sigma = lat.width.sigma
+    jobs = _jobs(args)
 
-    pos = analysis.joint_position_density(state, orbital, sc.samples_per_site)
-    writer.table(
-        "position_joint." + args.format, ["x1", "x2", "density"], _grid_rows(pos)
+    pos = analysis.joint_position_density(
+        state, orbital, sc.samples_per_site, jobs=jobs
     )
+    writer.table("position_joint." + args.format, ["x1", "x2", "density"], pos)
     j0 = sc.j0 if sc.j0 is not None else sc.n_sites // 2
     slice_w = analysis.conditional_density(pos, axis=1, value=float(j0))
-    pos_g = analysis.joint_position_density(state, sigma, sc.samples_per_site)
+    del pos  # never hold both full position grids
+    pos_g = analysis.joint_position_density(
+        state, sigma, sc.samples_per_site, jobs=jobs
+    )
     slice_g = analysis.conditional_density(pos_g, axis=1, value=float(j0))
     writer.table(
         "position_slice." + args.format,
@@ -163,9 +188,7 @@ def _cmd_distributions(sc: Scenario, writer: _Writer, args):
     )
 
     mom = analysis.joint_momentum_density(state, orbital, zones=sc.momentum_zones)
-    writer.table(
-        "momentum_joint." + args.format, ["p1", "p2", "density"], _grid_rows(mom)
-    )
+    writer.table("momentum_joint." + args.format, ["p1", "p2", "density"], mom)
     mslice = analysis.conditional_density(mom, axis=1, value=sc.p1_measured)
     writer.table(
         "momentum_slice." + args.format,
@@ -228,7 +251,7 @@ def _cmd_sweep(sc: Scenario, writer: _Writer, args):
         return 2
     path, values = sc.sweep
     tasks = [(sc.raw_text, path, v) for v in values]
-    jobs = args.jobs or os.cpu_count() or 1
+    jobs = _jobs(args)
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_worker, tasks))
@@ -265,7 +288,13 @@ def main(argv=None):
         help="scenario file path or builtin name (e.g. lithium-example)",
     )
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--jobs", type=int, default=None, help="sweep parallelism")
+    parser.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=None,
+        help="workers: sweep processes, or distributions threads for the "
+        "position grids (default: one per core)",
+    )
     parser.add_argument("--format", choices=("csv", "tsv"), default="csv")
     args = parser.parse_args(argv)
 

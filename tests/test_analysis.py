@@ -34,6 +34,31 @@ def test_position_density_gaussian_orbital(small_ground):
     assert grid.total() == pytest.approx(1.0, abs=1e-6)
 
 
+def _position_density_unblocked(state, orbital, samples_per_site):
+    """Reference: the full grid with one GEMM chain per member."""
+    n = state.n_sites
+    step = 1.0 / samples_per_site
+    x = np.arange(n * samples_per_site) * step
+    sites = np.arange(n, dtype=float)
+    dx = (x[:, None] - sites[None, :] + n / 2.0) % n - n / 2.0
+    w = analysis._orbital_amplitude(orbital, dx)
+    dens = np.zeros((len(x), len(x)))
+    for weight, c in state.members:
+        dens += weight * np.abs(w @ c @ w.T) ** 2
+    return dens / (dens.sum() * step * step)
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_position_density_matches_unblocked_loop(li_hopping, li_wannier, jobs):
+    # 20 sites x 32 samples: G = 640 rows, three row blocks of unequal size
+    h = diatom.build_hamiltonian(20, li_hopping.v_hop, nearest_only_profile(-2.16))
+    state = diatom.thermal_diatom_state(h, 0.01, sigma_e=2.0)
+    assert len(state.members) > 1
+    grid = analysis.joint_position_density(state, li_wannier, 32, jobs=jobs)
+    ref = _position_density_unblocked(state, li_wannier, 32)
+    np.testing.assert_allclose(grid.density, ref, rtol=1e-13, atol=0.0)
+
+
 def test_position_density_grid_guard(small_ground):
     with pytest.raises(GridError):
         analysis.joint_position_density(small_ground, 0.136, 8)

@@ -1,12 +1,22 @@
 """Command-line front end: artifacts, determinism, error handling."""
 
 import math
+import os
+import subprocess
+import sys
+import tempfile
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+import lattice_epr
 from lattice_epr import __version__
-from lattice_epr.cli import main
+from lattice_epr.analysis import DistributionGrid
+from lattice_epr.cli import _fmt, _Writer, main
 
 TOY = """\
 [species]
@@ -28,6 +38,21 @@ mode = ground
 samples_per_site = 32
 momentum_zones = 2
 """
+
+
+# 16 sites x 32 samples: G = 512, two row blocks of the position grid
+TOY16 = TOY.replace("sites = 8", "sites = 16").replace(
+    "mode = ground", "mode = thermal\nT = 10 nK\nsigma_E = 2 a"
+)
+
+DISTRIBUTION_TABLES = (
+    "position_joint.csv",
+    "position_slice.csv",
+    "momentum_joint.csv",
+    "momentum_slice.csv",
+    "momentum_marginal.csv",
+    "sum_momentum.csv",
+)
 
 
 @pytest.fixture
@@ -166,3 +191,90 @@ def test_partial_outputs_removed_on_failure(tmp_path, capsys):
     assert rc == 1
     assert "error:" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_must_be_a_positive_integer(toy_scenario, tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["bands", "--scenario", toy_scenario, "--out", str(tmp_path / "out"),
+             "--jobs", jobs]
+        )
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def _write_grid_reference(path, sha256, delimiter, columns, grid):
+    """Row-by-row writer of a grid table, one _fmt call per value."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# lattice-epr {__version__}\n")
+        fh.write(f"# scenario sha256: {sha256}\n")
+        fh.write(delimiter.join(columns) + "\n")
+        for i, x1 in enumerate(grid.axis1):
+            for j, x2 in enumerate(grid.axis2):
+                row = (x1, x2, grid.density[i, j])
+                fh.write(delimiter.join(_fmt(v) for v in row) + "\n")
+
+
+_SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -2.2e-308, 1e16, -1e16, math.inf, -math.inf, math.nan
+]
+_grid_values = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    delimiter=st.sampled_from([",", "\t"]),
+    axis1=hnp.arrays(np.float64, st.integers(1, 6), elements=_grid_values),
+    axis2=hnp.arrays(np.float64, st.integers(1, 6), elements=_grid_values),
+    data=st.data(),
+)
+def test_grid_table_matches_row_writer(delimiter, axis1, axis2, data):
+    density = data.draw(
+        hnp.arrays(np.float64, (len(axis1), len(axis2)), elements=_grid_values)
+    )
+    grid = DistributionGrid(axis1=axis1, axis2=axis2, density=density, kind="position")
+    scenario = types.SimpleNamespace(sha256="ab" * 32)
+    columns = ["x1", "x2", "density"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _Writer(tmp, scenario, delimiter).table("grid", columns, grid)
+        reference = os.path.join(tmp, "reference")
+        _write_grid_reference(reference, scenario.sha256, delimiter, columns, grid)
+        assert Path(path).read_bytes() == Path(reference).read_bytes()
+
+
+@pytest.fixture
+def toy16_scenario(tmp_path):
+    path = tmp_path / "toy16.ini"
+    path.write_text(TOY16)
+    return str(path)
+
+
+def test_distributions_bytes_independent_of_jobs(toy16_scenario, tmp_path):
+    outs = []
+    for jobs in ("1", "3"):
+        out = tmp_path / f"jobs{jobs}"
+        argv = ["distributions", "--scenario", toy16_scenario, "--out", str(out)]
+        assert main(argv + ["--jobs", jobs]) == 0
+        outs.append(out)
+    for name in DISTRIBUTION_TABLES:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_distributions_bytes_independent_of_blas_threads(toy16_scenario, tmp_path):
+    src = str(Path(lattice_epr.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        subprocess.run(
+            [sys.executable, "-m", "lattice_epr.cli", "distributions",
+             "--scenario", toy16_scenario, "--out", str(out), "--jobs", "2"],
+            env=env,
+            check=True,
+            timeout=300,
+        )
+        outs.append(out)
+    for name in DISTRIBUTION_TABLES:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
