@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "DistributionGrid",
     "Slice1D",
     "PeakMetrics",
-    "EprReport",
     "OptimizeResult",
     "joint_position_density",
     "joint_momentum_density",
@@ -52,7 +51,6 @@ __all__ = [
     "s_estimate",
     "optimize_sigma_e",
     "pair_fraction",
-    "epr_report",
 ]
 
 # HWHM of a unit-sigma Gaussian
@@ -444,27 +442,3 @@ def pair_fraction(sigma_e, a: float = 1.0):
         raise DomainError("envelope width must be positive")
     return a / sigma_e
 
-
-# ---------------------------------------------------------------------------
-# report
-
-@dataclass
-class EprReport:
-    """EPR widths and validity flags; s = 1/(2 dx dp) holds by construction."""
-
-    dx_minus: float
-    dp_plus: float
-    s: float
-    position_peak_spacing: float | None = None
-    momentum_ridge_spacing: float | None = None
-    momentum_ridge_halfwidth: float | None = None
-    flags: dict = field(default_factory=dict)
-
-
-def epr_report(dx_minus, dp_plus, **extras) -> EprReport:
-    return EprReport(
-        dx_minus=dx_minus,
-        dp_plus=dp_plus,
-        s=s_parameter(dx_minus, dp_plus),
-        **extras,
-    )

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, analysis, pipeline
 from .errors import LatticeEprError
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, load_scenario, parse_scenario
 
 __all__ = ["main"]
 
@@ -89,8 +89,8 @@ def _positive_int(text):
 
 
 def _cmd_bands(sc: Scenario, writer: _Writer, args):
-    lat = pipeline.lattice_results(sc)
-    spectrum = lat.spectrum
+    model = pipeline.Model(sc)
+    spectrum = model.spectrum
     writer.table(
         "bands." + args.format,
         ["q", "E0", "E1", "E2"],
@@ -99,32 +99,24 @@ def _cmd_bands(sc: Scenario, writer: _Writer, args):
             for i, q in enumerate(spectrum.q)
         ],
     )
+    wannier0 = model.wannier0
     writer.table(
         "wannier." + args.format,
         ["x", "amplitude"],
-        list(zip(lat.wannier0.x, lat.wannier0.amplitude)),
+        list(zip(wannier0.x, wannier0.amplitude)),
     )
     writer.table(
         "lattice_summary." + args.format,
         ["quantity", "value"],
-        [
-            ("U0", sc.u0),
-            ("v_hop", lat.hopping.v_hop),
-            ("bandwidth", lat.hopping.bandwidth),
-            ("bandwidth_ratio", lat.hopping.bandwidth_ratio),
-            ("hopping_approx", lat.approx.value),
-            ("sigma", lat.width.sigma),
-            ("sigma_literal", lat.width.sigma_literal),
-            ("m_eff_ratio", lat.m_eff_ratio),
-        ],
+        list(model.lattice_quantities().items()),
     )
     return 0
 
 
 def _cmd_diatom(sc: Scenario, writer: _Writer, args):
-    lat = pipeline.lattice_results(sc)
-    profile = pipeline.dipole_profile(sc)
-    dia = pipeline.diatom_results(sc, lat.hopping.v_hop, profile)
+    model = pipeline.Model(sc)
+    quantities = model.diatom_quantities()
+    profile = model.profile
     writer.table(
         "dipole_profile." + args.format,
         ["dj", "R", "theta", "V_dd"],
@@ -140,34 +132,21 @@ def _cmd_diatom(sc: Scenario, writer: _Writer, args):
     writer.table(
         "diatom_band." + args.format,
         ["K", "E_bound"],
-        list(zip(dia.band.thetas, dia.band.energies)),
+        list(zip(model.band.thetas, model.band.energies)),
     )
     writer.table(
         "diatom_summary." + args.format,
         ["quantity", "value"],
-        [
-            ("v_hop", lat.hopping.v_hop),
-            ("v_dd0", dia.v_dd0),
-            ("v2at_pert", dia.v2_pert),
-            ("v2at_fit", dia.band.v_hop_fit),
-            ("bandwidth_2at", dia.band.bandwidth),
-            ("fit_residual_rms", dia.band.fit_residual_rms),
-            ("gap_min", dia.band.gap_min),
-            ("mass_ratio_2at", dia.mass_ratio),
-            ("m_eff_2at_ratio_fit", dia.band.m_eff_ratio_fit),
-            ("m_eff_2at_ratio_curv", dia.band.m_eff_ratio_curvature),
-        ],
+        list(quantities.items()),
     )
     return 0
 
 
 def _cmd_distributions(sc: Scenario, writer: _Writer, args):
-    lat = pipeline.lattice_results(sc)
-    profile = pipeline.dipole_profile(sc)
-    dia = pipeline.diatom_results(sc, lat.hopping.v_hop, profile)
-    state = pipeline.build_state(sc, dia.hamiltonian)
-    orbital = lat.wannier0
-    sigma = lat.width.sigma
+    model = pipeline.Model(sc)
+    state = model.state
+    orbital = model.wannier0
+    sigma = model.width.sigma
     jobs = _jobs(args)
 
     pos = analysis.joint_position_density(
@@ -211,7 +190,7 @@ def _cmd_distributions(sc: Scenario, writer: _Writer, args):
 
 
 def _cmd_report(sc: Scenario, writer: _Writer, args):
-    rows = pipeline.golden_reference_rows(sc)
+    rows = pipeline.Model(sc).report_rows()
     writer.table(
         "report." + args.format,
         ["quantity", "computed", "reference", "rel_diff", "tolerance", "verdict"],
@@ -228,21 +207,22 @@ def _cmd_report(sc: Scenario, writer: _Writer, args):
 
 
 def _cmd_optimize(sc: Scenario, writer: _Writer, args):
-    rows = pipeline.optimizer_rows(sc)
     writer.table(
         "optimize." + args.format,
         ["T_nK", "sigma_E_opt", "s_opt", "s_at_scenario_sigma_E", "on_boundary"],
-        rows,
+        pipeline.Model(sc).optimizer_rows(),
     )
     return 0
 
 
 def _sweep_worker(task):
+    """Summary of one sweep point; an error names the point it failed at."""
     text, path, value = task
-    from .scenario import parse_scenario
-
-    sc = parse_scenario(text).with_param(path, value)
-    return pipeline.summary_quantities(sc)
+    try:
+        sc = parse_scenario(text).with_param(path, value)
+        return pipeline.Model(sc).summary()
+    except LatticeEprError as exc:
+        raise type(exc)(f"sweep point {path} = {_fmt(value)}: {exc}") from exc
 
 
 def _cmd_sweep(sc: Scenario, writer: _Writer, args):

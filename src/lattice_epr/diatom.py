@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .dipole import InteractionProfile
 from .errors import DomainError, RegimeError, SingularityError, SizeError
+from .lattice import cosine_band_fit, curvature_mass, effective_mass_single
 
 __all__ = [
     "TwoAtomHamiltonian",
@@ -39,9 +41,6 @@ __all__ = [
     "envelope_state",
     "thermal_diatom_state",
 ]
-
-KIN = 1.0 / math.pi**2  # p^2/(2m) = KIN p~^2, in E_rec
-
 
 @dataclass(frozen=True)
 class TwoAtomHamiltonian:
@@ -65,6 +64,29 @@ class TwoAtomHamiltonian:
         h[idx, (idx - 1) % n] += lower
         h[idx, (idx + 1) % n] += upper
         return h
+
+    @cached_property
+    def blocks(self):
+        """Every center-of-mass block diagonalized, computed once.
+
+        (thetas, all eigenvalues (N, N), bound-branch eigenvectors (N, N)),
+        each eigenvector in the gauge where its largest-magnitude component
+        is real positive.  The arrays are shared by every reader, so they
+        are read-only.
+        """
+        n = self.n_sites
+        thetas = _com_phases(n)
+        energies = np.empty((n, n))
+        ground = np.empty((n, n), dtype=complex)
+        for i, th in enumerate(thetas):
+            w, v = np.linalg.eigh(self.block(th))
+            energies[i] = w
+            g = v[:, 0]
+            k = int(np.argmax(np.abs(g)))
+            ground[i] = g * (abs(g[k]) / g[k])
+        for array in (thetas, energies, ground):
+            array.flags.writeable = False
+        return thetas, energies, ground
 
     def dense(self) -> np.ndarray:
         """Full N^2 x N^2 matrix in the |j, l> basis (oracle path)."""
@@ -100,26 +122,6 @@ def build_hamiltonian(
 
 def _com_phases(n):
     return 2.0 * np.pi * np.arange(-n // 2, n // 2) / n
-
-
-def _solve_blocks(h: TwoAtomHamiltonian):
-    """Diagonalize every center-of-mass block.
-
-    Returns (thetas, all eigenvalues (N, N), bound-branch eigenvectors (N, N)).
-    """
-    n = h.n_sites
-    thetas = _com_phases(n)
-    energies = np.empty((n, n))
-    ground = np.empty((n, n), dtype=complex)
-    for i, th in enumerate(thetas):
-        w, v = np.linalg.eigh(h.block(th))
-        energies[i] = w
-        g = v[:, 0]
-        # deterministic gauge: largest-magnitude component real positive
-        k = int(np.argmax(np.abs(g)))
-        g = g * (abs(g[k]) / g[k])
-        ground[i] = g
-    return thetas, energies, ground
 
 
 def dense_spectrum(h: TwoAtomHamiltonian) -> np.ndarray:
@@ -194,10 +196,9 @@ class TwoAtomState:
 def ground_state(h: TwoAtomHamiltonian) -> TwoAtomState:
     """Lowest eigenstate (center-of-mass phase 0) of the two-atom model."""
     n = h.n_sites
-    w, v = np.linalg.eigh(h.block(0.0))
-    g = v[:, 0]
-    k = int(np.argmax(np.abs(g)))
-    g = g * (abs(g[k]) / g[k])
+    thetas, energies, ground = h.blocks
+    i0 = int(np.argmin(np.abs(thetas)))
+    g = ground[i0]
     d = np.arange(n)
     d_wrapped = np.minimum(d, n - d)
     width = math.sqrt(float(np.sum(np.abs(g) ** 2 * d_wrapped.astype(float) ** 2)))
@@ -206,13 +207,11 @@ def ground_state(h: TwoAtomHamiltonian) -> TwoAtomState:
             f"bound-state width {width:.1f} sites exceeds N/4; increase N"
         )
     c = _bloch_matrix_from_relative(n, 0.0, g)
-    vdd0 = h.vdd_diag[0]
-    ratio = abs(h.v_hop / vdd0) if vdd0 != 0 else math.inf
     return TwoAtomState(
         n_sites=n,
         members=[(1.0, c)],
         temperature=0.0,
-        meta={"energy": float(w[0]), "hop_to_vdd_ratio": ratio},
+        meta={"energy": float(energies[i0, 0])},
     )
 
 
@@ -237,40 +236,29 @@ class DiatomBand:
     m_eff_ratio_fit: float       # m_eff^(2at)/m from the fitted cosine
     m_eff_ratio_curvature: float  # from finite-difference curvature at K=0
 
-    @property
-    def v_bandwidth(self):
-        return self.bandwidth
-
 
 def diatom_band_exact(h: TwoAtomHamiltonian) -> DiatomBand:
     """Extract and fit the bound-diatom band from the block spectra."""
-    thetas, energies, _ = _solve_blocks(h)
+    thetas, energies, _ = h.blocks
     e0 = energies[:, 0]
     e1 = energies[:, 1]
-    gap_min = float(np.min(e1 - e0))
-    bandwidth = float(e0.max() - e0.min())
     if e0.max() >= e1.min():
         raise RegimeError(
             "bound branch overlaps the continuum (|V_dd| <~ 4 |V_hop|)"
         )
-    n = h.n_sites
-    v_fit = float(np.real(e0 @ np.exp(1j * thetas)) / n)
-    model = e0.mean() + 2.0 * v_fit * np.cos(thetas)
-    rms = float(np.sqrt(np.mean((e0 - model) ** 2)))
-    i0 = int(np.argmin(np.abs(thetas)))
-    dth = float(thetas[1] - thetas[0])
-    curv = (e0[i0 + 1] - 2.0 * e0[i0] + e0[i0 - 1]) / dth**2
-    if curv <= 0:
-        raise RegimeError("non-positive bound-band curvature at K = 0")
+    v_fit, bandwidth, rms = cosine_band_fit(thetas, e0)
+    m_curv = curvature_mass(
+        thetas, e0, RegimeError("non-positive bound-band curvature at K = 0")
+    )
     return DiatomBand(
         thetas=thetas,
         energies=e0,
         v_hop_fit=v_fit,
         bandwidth=bandwidth,
         fit_residual_rms=rms,
-        gap_min=gap_min,
-        m_eff_ratio_fit=2.0 / (math.pi**2 * 2.0 * abs(v_fit)),
-        m_eff_ratio_curvature=2.0 / (math.pi**2 * curv),
+        gap_min=float(np.min(e1 - e0)),
+        m_eff_ratio_fit=effective_mass_single(v_fit),
+        m_eff_ratio_curvature=m_curv,
     )
 
 
@@ -344,7 +332,7 @@ def thermal_diatom_state(
         j0 = n // 2
     if sigma_e is not None and 3.0 * sigma_e >= n / 2.0:
         raise SizeError("envelope clipped by the periodic boundary")
-    thetas, energies, ground = _solve_blocks(h)
+    thetas, energies, ground = h.blocks
     e0 = energies[:, 0]
     if temperature == 0.0:
         sel = [int(np.argmin(np.abs(thetas)))]

@@ -27,6 +27,9 @@ __all__ = [
     "HoppingEstimate",
     "WannierWidth",
     "band_structure",
+    "require_band_gap",
+    "cosine_band_fit",
+    "curvature_mass",
     "hopping_exact",
     "hopping_approx",
     "wannier",
@@ -126,16 +129,44 @@ class HoppingResult:
     degenerate_limit: bool  # True for u0 == 0 (no tight-binding meaning)
 
 
+def require_band_gap(spectrum: BlochSpectrum):
+    """Raise DegenerateBandError where the lowest band touches the next one."""
+    gap = float(np.min(spectrum.energies[:, 1] - spectrum.energies[:, 0]))
+    if gap < 1e-10:
+        raise DegenerateBandError(
+            "lowest band degenerate with first excited band; Wannier gauge "
+            "is undefined in the free-lattice limit"
+        )
+
+
+def cosine_band_fit(k, energies):
+    """Fit E(k) = mean + 2 v cos(k) on the full Brillouin-zone grid ``k``.
+
+    Returns (v, bandwidth, rms residual), with v = (1/N) sum_k E(k) exp(i k)
+    the nearest-neighbor Fourier coefficient.
+    """
+    v = float(np.real(energies @ np.exp(1j * k)) / len(energies))
+    bandwidth = float(energies.max() - energies.min())
+    model = float(energies.mean()) + 2.0 * v * np.cos(k)
+    rms = float(np.sqrt(np.mean((energies - model) ** 2)))
+    return v, bandwidth, rms
+
+
+def curvature_mass(k, energies, error: Exception) -> float:
+    """m_eff / m = 2 / (pi^2 E''(0)) from the finite-difference curvature of
+    E(k) at k = 0; raises ``error`` unless the curvature is positive."""
+    i0 = int(np.argmin(np.abs(k)))
+    dk = float(k[1] - k[0])
+    curv = (energies[i0 + 1] - 2.0 * energies[i0] + energies[i0 - 1]) / dk**2
+    if curv <= 0:
+        raise error
+    return 2.0 / (math.pi**2 * curv)
+
+
 def hopping_exact(spectrum: BlochSpectrum) -> HoppingResult:
     """Nearest-neighbor Fourier coefficient of the lowest band,
     V_hop = (1/N) sum_q E0(q) exp(i q a)."""
-    e0 = spectrum.lowest_band
-    n = len(e0)
-    v_hop = float(np.real(e0 @ np.exp(1j * spectrum.q)) / n)
-    bandwidth = float(e0.max() - e0.min())
-    mean = float(e0.mean())
-    model = mean + 2.0 * v_hop * np.cos(spectrum.q)
-    rms = float(np.sqrt(np.mean((e0 - model) ** 2)))
+    v_hop, bandwidth, rms = cosine_band_fit(spectrum.q, spectrum.lowest_band)
     ratio = bandwidth / (4.0 * abs(v_hop)) if v_hop != 0 else math.inf
     return HoppingResult(
         v_hop=v_hop,
@@ -204,12 +235,7 @@ def wannier(spectrum: BlochSpectrum, site: int = 0) -> WannierState:
     symmetric about its center.
     """
     cfg = spectrum.config
-    gap = float(np.min(spectrum.energies[:, 1] - spectrum.energies[:, 0]))
-    if gap < 1e-10:
-        raise DegenerateBandError(
-            "lowest band degenerate with first excited band; Wannier gauge "
-            "is undefined in the free-lattice limit"
-        )
+    require_band_gap(spectrum)
     n = cfg.n_sites
     ppa = cfg.samples_per_site
     m = cfg.cutoff
@@ -288,10 +314,8 @@ def effective_mass_single(v_hop) -> float:
 
 def effective_mass_from_band(spectrum: BlochSpectrum) -> float:
     """m_eff / m from the finite-difference curvature of E0 at q = 0."""
-    e0 = spectrum.lowest_band
-    i0 = int(np.argmin(np.abs(spectrum.q)))
-    dq = float(spectrum.q[1] - spectrum.q[0])
-    curv = (e0[i0 + 1] - 2.0 * e0[i0] + e0[i0 - 1]) / dq**2
-    if curv <= 0:
-        raise SingularityError("non-positive band curvature at q = 0")
-    return 2.0 / (math.pi**2 * curv)
+    return curvature_mass(
+        spectrum.q,
+        spectrum.lowest_band,
+        SingularityError("non-positive band curvature at q = 0"),
+    )

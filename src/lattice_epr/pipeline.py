@@ -1,4 +1,4 @@
-"""Scenario-driven computation pipelines shared by the CLI and the tests.
+"""The scenario-driven computation chain shared by the CLI and the tests.
 
 Chains the modules together: lattice bands -> hopping and Wannier orbital ->
 dipole-dipole profile -> two-atom model -> states -> distributions and EPR
@@ -8,154 +8,14 @@ report.  Everything here is deterministic for a fixed scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 
 from . import analysis, diatom, dipole, lattice
 from .core import dipole_moment_sq_from_linewidth
 from .errors import ScenarioError
 from .scenario import Scenario
 
-__all__ = [
-    "LatticeResults",
-    "DiatomResults",
-    "lattice_results",
-    "dipole_profile",
-    "diatom_results",
-    "build_state",
-    "summary_quantities",
-    "golden_reference_rows",
-]
-
-
-@dataclass
-class LatticeResults:
-    spectrum: lattice.BlochSpectrum
-    hopping: lattice.HoppingResult
-    approx: lattice.HoppingEstimate
-    width: lattice.WannierWidth
-    wannier0: lattice.WannierState
-    m_eff_ratio: float
-
-
-def lattice_results(sc: Scenario) -> LatticeResults:
-    cfg = lattice.LatticeConfig(
-        u0=sc.u0,
-        n_sites=sc.n_sites,
-        cutoff=sc.cutoff,
-        samples_per_site=sc.samples_per_site,
-    )
-    spectrum = lattice.band_structure(cfg)
-    hop = lattice.hopping_exact(spectrum)
-    return LatticeResults(
-        spectrum=spectrum,
-        hopping=hop,
-        approx=lattice.hopping_approx(sc.u0),
-        width=lattice.wannier_gaussian_width(sc.u0),
-        wannier0=lattice.wannier(spectrum, site=0),
-        m_eff_ratio=lattice.effective_mass_single(hop.v_hop),
-    )
-
-
-def dipole_profile(sc: Scenario) -> dipole.InteractionProfile:
-    """Site-offset interaction profile in E_rec, anchored per the scenario."""
-    if sc.displacement <= 0:
-        raise ScenarioError("scenario has no coupling displacement")
-    a_si = sc.units.a
-    if sc.v_dd is not None:
-        v_c = dipole.coupling_for_nearest_value(
-            sc.v_dd, sc.lambda_coupling, sc.displacement, a_si
-        )
-    else:
-        laser = sc.coupling_laser
-        mu_sq = dipole_moment_sq_from_linewidth(
-            sc.species.gamma_coupling, sc.species.omega_coupling
-        )
-        # red detuning assumed: omega = omega_A - |delta|
-        omega = sc.species.omega_coupling - abs(laser.detuning)
-        alpha = dipole.polarizability(mu_sq, sc.species.omega_coupling, omega)
-        v_c_si = dipole.coupling_scale(alpha, laser.wavevector, laser.intensity)
-        v_c = sc.units.energy_from_si(v_c_si)
-    coupling = dipole.DipoleCoupling(
-        v_c=v_c, lambda_c=sc.lambda_coupling, displacement=sc.displacement
-    )
-    return dipole.interaction_profile(coupling, a_si, dj_max=sc.dj_max)
-
-
-@dataclass
-class DiatomResults:
-    hamiltonian: diatom.TwoAtomHamiltonian
-    band: diatom.DiatomBand
-    v_dd0: float
-    v2_pert: float
-    mass_ratio: float
-
-
-def diatom_results(sc: Scenario, v_hop: float, profile) -> DiatomResults:
-    h = diatom.build_hamiltonian(
-        sc.n_sites, v_hop, profile, include_offsite=sc.include_offsite
-    )
-    band = diatom.diatom_band_exact(h)
-    v_dd0 = profile.value(0)
-    return DiatomResults(
-        hamiltonian=h,
-        band=band,
-        v_dd0=v_dd0,
-        v2_pert=diatom.hopping_two_atom(v_hop, v_dd0),
-        mass_ratio=diatom.effective_mass_ratio_two_atom(v_hop, v_dd0),
-    )
-
-
-def build_state(sc: Scenario, h: diatom.TwoAtomHamiltonian) -> diatom.TwoAtomState:
-    if sc.state_mode == "ground":
-        return diatom.ground_state(h)
-    if sc.state_mode == "envelope":
-        return diatom.envelope_state(sc.n_sites, sc.sigma_e, sc.j0)
-    if sc.state_mode == "thermal":
-        return diatom.thermal_diatom_state(
-            h, sc.temperature, sigma_e=sc.sigma_e, j0=sc.j0
-        )
-    raise ScenarioError(f"unknown state mode {sc.state_mode!r}")
-
-
-def summary_quantities(sc: Scenario) -> dict:
-    """Flat dictionary of the scenario's derived scalars (internal units)."""
-    lat = lattice_results(sc)
-    profile = dipole_profile(sc)
-    dia = diatom_results(sc, lat.hopping.v_hop, profile)
-    sigma = lat.width.sigma
-    dx = analysis.delta_x_minus(sigma, lat.hopping.v_hop, dia.v_dd0)
-    out = {
-        "U0": sc.u0,
-        "v_hop": lat.hopping.v_hop,
-        "bandwidth": lat.hopping.bandwidth,
-        "hopping_approx": lat.approx.value,
-        "sigma": sigma,
-        "sigma_literal": lat.width.sigma_literal,
-        "m_eff_ratio": lat.m_eff_ratio,
-        "v_dd0": dia.v_dd0,
-        "v2at_pert": dia.v2_pert,
-        "v2at_fit": dia.band.v_hop_fit,
-        "bandwidth_2at": dia.band.bandwidth,
-        "mass_ratio_2at": dia.mass_ratio,
-        "dx_minus": dx,
-        "temperature": sc.temperature,
-    }
-    if sc.sigma_e is not None:
-        dp = analysis.delta_p_plus_prep(sc.sigma_e, sc.temperature)
-        out.update(
-            {
-                "sigma_E": sc.sigma_e,
-                "dp_plus_prep": dp,
-                "s": analysis.s_parameter(dx, dp),
-                "s_estimate": analysis.s_estimate(sc.sigma_e, sigma, sc.temperature),
-                "pair_fraction": analysis.pair_fraction(sc.sigma_e),
-            }
-        )
-    if sc.temperature > 0:
-        out["dp_plus_thermal"] = analysis.delta_p_plus_thermal(
-            dia.v_dd0, lat.hopping.v_hop, sc.temperature
-        )
-    return out
+__all__ = ["Model"]
 
 
 # Reference values of the worked lithium scheme, with report tolerances.
@@ -168,6 +28,34 @@ _GOLDEN_REFS = {
     "s_100nK": (11.0, 0.10),
 }
 
+# quantities of the bands and diatom tables that the summary leaves out
+_TABLE_ONLY = (
+    "bandwidth_ratio",
+    "fit_residual_rms",
+    "gap_min",
+    "m_eff_2at_ratio_fit",
+    "m_eff_2at_ratio_curv",
+)
+
+_REPORT_ORDER = (
+    "U0",
+    "v_hop",
+    "bandwidth",
+    "hopping_approx",
+    "approx_vs_4vhop",
+    "sigma",
+    "sigma_literal",
+    "m_eff_ratio",
+    "v_dd0",
+    "v2at_pert",
+    "v2at_fit",
+    "bandwidth_2at",
+    "mass_ratio_2at",
+    "dx_minus",
+    "s_10nK",
+    "s_100nK",
+)
+
 
 def is_golden_scenario(sc: Scenario) -> bool:
     return (
@@ -178,72 +66,197 @@ def is_golden_scenario(sc: Scenario) -> bool:
     )
 
 
-def golden_reference_rows(sc: Scenario) -> list:
-    """Comparison table rows: (name, computed, reference, tolerance, verdict).
+class Model:
+    """The chain of one scenario, each stage built on first read and kept.
 
-    Reference columns are filled only for the worked lithium scheme.
+    A command reads only the stages it writes, so it pays for nothing else.
+    Checks that guard a stage's inputs live in the stage that needs them:
+    ``spectrum`` resolves ``width`` (a zero depth fails as a singular width)
+    and then requires a gap above the lowest band, and ``state`` reads
+    ``band``, so a bound branch that overlaps the continuum fails in every
+    state mode.
     """
-    q = summary_quantities(sc)
-    golden = is_golden_scenario(sc)
-    nk = sc.units.temperature_from_si(1e-9)
-    sigma_e = sc.sigma_e if sc.sigma_e is not None else 6.0
-    s10 = analysis.s_estimate(sigma_e, q["sigma"], 10.0 * nk)
-    s100 = analysis.s_estimate(sigma_e, q["sigma"], 100.0 * nk)
-    derived = dict(q)
-    derived["s_10nK"] = s10
-    derived["s_100nK"] = s100
-    derived["approx_vs_4vhop"] = q["hopping_approx"] / (4.0 * abs(q["v_hop"]))
-    rows = []
-    order = [
-        "U0",
-        "v_hop",
-        "bandwidth",
-        "hopping_approx",
-        "approx_vs_4vhop",
-        "sigma",
-        "sigma_literal",
-        "m_eff_ratio",
-        "v_dd0",
-        "v2at_pert",
-        "v2at_fit",
-        "bandwidth_2at",
-        "mass_ratio_2at",
-        "dx_minus",
-        "s_10nK",
-        "s_100nK",
-    ]
-    for name in order:
-        if name not in derived:
-            continue
-        value = derived[name]
-        ref = tol = rel = verdict = None
-        if golden and name in _GOLDEN_REFS:
-            ref, tol = _GOLDEN_REFS[name]
-            rel = abs(value - ref) / abs(ref)
-            verdict = "pass" if rel <= tol else "fail"
-        rows.append((name, value, ref, rel, tol, verdict))
-    for name in ("sigma_E", "dp_plus_prep", "s", "pair_fraction", "dp_plus_thermal"):
-        if name in derived:
-            rows.append((name, derived[name], None, None, None, None))
-    return rows
 
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
 
-def nk_to_internal(sc: Scenario, t_nk: float) -> float:
-    return sc.units.temperature_from_si(t_nk * 1e-9)
-
-
-def internal_to_nk(sc: Scenario, t: float) -> float:
-    return sc.units.temperature_to_si(t) * 1e9
-
-
-def optimizer_rows(sc: Scenario) -> list:
-    """(T_nK, sigma_E_opt, s_opt, s_at_scenario_sigma_E, on_boundary) per T."""
-    sigma = lattice.wannier_gaussian_width(sc.u0).sigma
-    rows = []
-    for t in sc.optimizer_temperatures:
-        res = analysis.optimize_sigma_e(sigma, t, sc.optimizer_lo, sc.optimizer_hi)
-        s_ref = (
-            analysis.s_estimate(sc.sigma_e, sigma, t) if sc.sigma_e else math.nan
+    @cached_property
+    def spectrum(self) -> lattice.BlochSpectrum:
+        sc = self.scenario
+        cfg = lattice.LatticeConfig(
+            u0=sc.u0,
+            n_sites=sc.n_sites,
+            cutoff=sc.cutoff,
+            samples_per_site=sc.samples_per_site,
         )
-        rows.append((internal_to_nk(sc, t), res.sigma_e, res.s, s_ref, res.on_boundary))
-    return rows
+        spectrum = lattice.band_structure(cfg)
+        self.width  # a zero depth fails as a singular width, not a closed gap
+        lattice.require_band_gap(spectrum)
+        return spectrum
+
+    @cached_property
+    def hopping(self) -> lattice.HoppingResult:
+        return lattice.hopping_exact(self.spectrum)
+
+    @cached_property
+    def width(self) -> lattice.WannierWidth:
+        return lattice.wannier_gaussian_width(self.scenario.u0)
+
+    @cached_property
+    def wannier0(self) -> lattice.WannierState:
+        return lattice.wannier(self.spectrum, site=0)
+
+    @cached_property
+    def profile(self) -> dipole.InteractionProfile:
+        """Site-offset interaction profile in E_rec, anchored per the scenario."""
+        sc = self.scenario
+        if sc.displacement <= 0:
+            raise ScenarioError("scenario has no coupling displacement")
+        a_si = sc.units.a
+        if sc.v_dd is not None:
+            v_c = dipole.coupling_for_nearest_value(
+                sc.v_dd, sc.lambda_coupling, sc.displacement, a_si
+            )
+        else:
+            laser = sc.coupling_laser
+            mu_sq = dipole_moment_sq_from_linewidth(
+                sc.species.gamma_coupling, sc.species.omega_coupling
+            )
+            # red detuning assumed: omega = omega_A - |delta|
+            omega = sc.species.omega_coupling - abs(laser.detuning)
+            alpha = dipole.polarizability(mu_sq, sc.species.omega_coupling, omega)
+            v_c_si = dipole.coupling_scale(alpha, laser.wavevector, laser.intensity)
+            v_c = sc.units.energy_from_si(v_c_si)
+        coupling = dipole.DipoleCoupling(
+            v_c=v_c, lambda_c=sc.lambda_coupling, displacement=sc.displacement
+        )
+        return dipole.interaction_profile(coupling, a_si, dj_max=sc.dj_max)
+
+    @cached_property
+    def hamiltonian(self) -> diatom.TwoAtomHamiltonian:
+        sc = self.scenario
+        return diatom.build_hamiltonian(
+            sc.n_sites,
+            self.hopping.v_hop,
+            self.profile,
+            include_offsite=sc.include_offsite,
+        )
+
+    @cached_property
+    def band(self) -> diatom.DiatomBand:
+        return diatom.diatom_band_exact(self.hamiltonian)
+
+    @cached_property
+    def state(self) -> diatom.TwoAtomState:
+        sc = self.scenario
+        self.band  # no pair state without a bound branch, in any mode
+        if sc.state_mode == "ground":
+            return diatom.ground_state(self.hamiltonian)
+        if sc.state_mode == "envelope":
+            return diatom.envelope_state(sc.n_sites, sc.sigma_e, sc.j0)
+        if sc.state_mode == "thermal":
+            return diatom.thermal_diatom_state(
+                self.hamiltonian, sc.temperature, sigma_e=sc.sigma_e, j0=sc.j0
+            )
+        raise ScenarioError(f"unknown state mode {sc.state_mode!r}")
+
+    def lattice_quantities(self) -> dict:
+        """Scalars of the single-atom lattice, in table order."""
+        sc, hop, width = self.scenario, self.hopping, self.width
+        return {
+            "U0": sc.u0,
+            "v_hop": hop.v_hop,
+            "bandwidth": hop.bandwidth,
+            "bandwidth_ratio": hop.bandwidth_ratio,
+            "hopping_approx": lattice.hopping_approx(sc.u0).value,
+            "sigma": width.sigma,
+            "sigma_literal": width.sigma_literal,
+            "m_eff_ratio": lattice.effective_mass_single(hop.v_hop),
+        }
+
+    def diatom_quantities(self) -> dict:
+        """Scalars of the bound two-atom band, in table order."""
+        v_hop = self.hopping.v_hop
+        v_dd0 = self.profile.value(0)
+        band = self.band
+        return {
+            "v_hop": v_hop,
+            "v_dd0": v_dd0,
+            "v2at_pert": diatom.hopping_two_atom(v_hop, v_dd0),
+            "v2at_fit": band.v_hop_fit,
+            "bandwidth_2at": band.bandwidth,
+            "fit_residual_rms": band.fit_residual_rms,
+            "gap_min": band.gap_min,
+            "mass_ratio_2at": diatom.effective_mass_ratio_two_atom(v_hop, v_dd0),
+            "m_eff_2at_ratio_fit": band.m_eff_ratio_fit,
+            "m_eff_2at_ratio_curv": band.m_eff_ratio_curvature,
+        }
+
+    def summary(self) -> dict:
+        """Flat dictionary of the scenario's derived scalars (internal units)."""
+        sc = self.scenario
+        out = {**self.lattice_quantities(), **self.diatom_quantities()}
+        for name in _TABLE_ONLY:
+            del out[name]
+        sigma = out["sigma"]
+        dx = analysis.delta_x_minus(sigma, out["v_hop"], out["v_dd0"])
+        out["dx_minus"] = dx
+        out["temperature"] = sc.temperature
+        if sc.sigma_e is not None:
+            dp = analysis.delta_p_plus_prep(sc.sigma_e, sc.temperature)
+            out.update(
+                {
+                    "sigma_E": sc.sigma_e,
+                    "dp_plus_prep": dp,
+                    "s": analysis.s_parameter(dx, dp),
+                    "s_estimate": analysis.s_estimate(sc.sigma_e, sigma, sc.temperature),
+                    "pair_fraction": analysis.pair_fraction(sc.sigma_e),
+                }
+            )
+        if sc.temperature > 0:
+            out["dp_plus_thermal"] = analysis.delta_p_plus_thermal(
+                out["v_dd0"], out["v_hop"], sc.temperature
+            )
+        return out
+
+    def report_rows(self) -> list:
+        """Comparison table rows: (name, computed, reference, rel_diff,
+        tolerance, verdict).
+
+        Reference columns are filled only for the worked lithium scheme.
+        """
+        sc = self.scenario
+        q = self.summary()
+        golden = is_golden_scenario(sc)
+        nk = sc.units.temperature_from_si(1e-9)
+        sigma_e = sc.sigma_e if sc.sigma_e is not None else 6.0
+        q["s_10nK"] = analysis.s_estimate(sigma_e, q["sigma"], 10.0 * nk)
+        q["s_100nK"] = analysis.s_estimate(sigma_e, q["sigma"], 100.0 * nk)
+        q["approx_vs_4vhop"] = q["hopping_approx"] / (4.0 * abs(q["v_hop"]))
+        rows = []
+        for name in _REPORT_ORDER:
+            value = q[name]
+            ref = tol = rel = verdict = None
+            if golden and name in _GOLDEN_REFS:
+                ref, tol = _GOLDEN_REFS[name]
+                rel = abs(value - ref) / abs(ref)
+                verdict = "pass" if rel <= tol else "fail"
+            rows.append((name, value, ref, rel, tol, verdict))
+        for name in ("sigma_E", "dp_plus_prep", "s", "pair_fraction", "dp_plus_thermal"):
+            if name in q:
+                rows.append((name, q[name], None, None, None, None))
+        return rows
+
+    def optimizer_rows(self) -> list:
+        """(T_nK, sigma_E_opt, s_opt, s_at_scenario_sigma_E, on_boundary) per T."""
+        sc = self.scenario
+        sigma = self.width.sigma
+        rows = []
+        for t in sc.optimizer_temperatures:
+            res = analysis.optimize_sigma_e(sigma, t, sc.optimizer_lo, sc.optimizer_hi)
+            s_ref = (
+                analysis.s_estimate(sc.sigma_e, sigma, t) if sc.sigma_e else math.nan
+            )
+            t_nk = sc.units.temperature_to_si(t) * 1e9
+            rows.append((t_nk, res.sigma_e, res.s, s_ref, res.on_boundary))
+        return rows

@@ -162,8 +162,8 @@ def test_nearest_site_identity():
 
 
 def test_report_identity_property():
-    report = analysis.epr_report(0.138, 0.118)
-    assert 2.0 * report.dx_minus * report.dp_plus * report.s == pytest.approx(
+    dx, dp = 0.138, 0.118
+    assert 2.0 * dx * dp * analysis.s_parameter(dx, dp) == pytest.approx(
         1.0, rel=1e-14
     )
 

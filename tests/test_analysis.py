@@ -182,9 +182,8 @@ def test_delta_p_plus_prep_limits():
 
 
 def test_s_parameter_identity():
-    report = analysis.epr_report(0.2, 0.3)
-    assert report.s == pytest.approx(1.0 / (2.0 * 0.2 * 0.3), rel=1e-15)
-    assert report.s == analysis.s_parameter(report.dx_minus, report.dp_plus)
+    s = analysis.s_parameter(0.2, 0.3)
+    assert s == pytest.approx(1.0 / (2.0 * 0.2 * 0.3), rel=1e-15)
 
 
 def test_s_estimate_consistency_with_widths():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lattice_epr import diatom
 from lattice_epr.errors import DomainError, RegimeError, SingularityError, SizeError
@@ -142,3 +143,45 @@ def test_thermal_momentum_spread_grows_with_temperature(li_hopping, li_profile):
 def test_thermal_envelope_guard(li_diatom_32):
     with pytest.raises(SizeError):
         diatom.thermal_diatom_state(li_diatom_32, 0.001, sigma_e=8.0)
+
+
+
+def ring_bound_band(n, j, v, thetas):
+    """Exact bound-pair band of N sites with on-site coupling V < 0 only.
+
+    The relative-coordinate block at K is a ring with band A cos(k - K/2),
+    A = 4 J cos(K/2), whose flux N K / 2 makes it periodic or antiperiodic
+    by the parity of the K index.  Summing its Green's function in closed
+    form, the bound state solves sqrt(E^2 - A^2) = |V| (1 + z) / (1 - z),
+    z = (-1)^index x^N, x = |A| / (|E| + sqrt(E^2 - A^2)).  For x^N -> 0
+    this is the infinite-lattice band -sqrt(V^2 + 16 J^2 cos^2(K a / 2)),
+    which is where the iteration starts.
+    """
+    a_sq = (4.0 * j * np.cos(thetas / 2.0)) ** 2
+    parity = (-1.0) ** np.rint(thetas * n / (2.0 * np.pi))
+    root = abs(v)
+    for _ in range(4):
+        x = np.sqrt(a_sq) / (np.sqrt(a_sq + root**2) + root)
+        z = parity * x**n
+        root = abs(v) * (1.0 + z) / (1.0 - z)
+    return -np.sqrt(a_sq + root**2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(16, 128),
+    j=st.floats(-0.2, -0.005),
+    ratio=st.floats(8.0, 200.0),
+)
+def test_bound_band_matches_closed_form(n, j, ratio):
+    """With on-site coupling only, the bound pair has the band
+    E(K) = -sqrt(V^2 + 16 J^2 cos^2(K a / 2)) of the infinite lattice, up to
+    a ring correction of at most 2 |V| x^N (x <= 0.24 here) that the exact
+    ring form adds, so the band is checked at every N."""
+    v = -ratio * abs(j)
+    h = diatom.build_hamiltonian(n, j, nearest_only_profile(v), include_offsite=False)
+    band = diatom.diatom_band_exact(h)
+    infinite = -np.sqrt(v**2 + 16.0 * j**2 * np.cos(band.thetas / 2.0) ** 2)
+    ring = ring_bound_band(n, j, v, band.thetas)
+    assert np.max(np.abs(ring - infinite)) <= abs(v) * (2.0 * 0.24**n + 1e-15)
+    assert np.max(np.abs(band.energies - ring)) <= 1e-10 * abs(v)

@@ -1,0 +1,186 @@
+"""The lazy pipeline behind the CLI: output bytes and failure behaviour of
+every command, stages computed only when read, and sweep errors that name
+their point."""
+
+import hashlib
+
+import pytest
+
+from lattice_epr import diatom, lattice
+from lattice_epr.cli import _fmt, _sweep_worker, main
+from lattice_epr.errors import DegenerateBandError, SingularityError
+from lattice_epr.scenario import LITHIUM_EXAMPLE, load_scenario
+from test_cli import TOY
+
+SCENARIOS = {
+    "toy": TOY,
+    "lithium": LITHIUM_EXAMPLE,
+}
+
+SWEEPS = {
+    "toy": "\n[sweep]\nparameter = lattice.U0\nvalues = 6 Erec, 7.42 Erec, 9 Erec\n",
+    "lithium": "\n[sweep]\nparameter = state.T\nvalues = 5 nK, 10 nK, 20 nK\n",
+}
+
+
+def run(command, text, tmp_path, *extra):
+    path = tmp_path / "scenario.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    rc = main([command, "--scenario", str(path), "--out", str(out), *extra])
+    return rc, out
+
+
+def table_hashes(out):
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+    }
+
+
+# sha256 of every table, recorded before the chain became a lazy Model
+TABLE_SHA256 = {
+    ("toy", "bands"): {
+        "bands.csv": "d3a3a4792249754fd3d2d53032384e4d1bbccf0079ec15b4f93a13914ef539f3",
+        "lattice_summary.csv": "641ce6239dbbb644e4a005dab3291c03f0a7789dcf04f0f7311ff8f786df89cb",
+        "wannier.csv": "0261759c6d5167a7e3372a9654bcdaaa821f506159c615eae3bbd7188261a52c",
+    },
+    ("toy", "diatom"): {
+        "diatom_band.csv": "f87b30660a6c1f8bede1cc611031ce29d23aaf4d549f12dfaa329e12857200fd",
+        "diatom_summary.csv": "e9a4eb58b2a760a923f0e1fc44d09ca22d2aa45716e6f4042e5f3de7b9af508a",
+        "dipole_profile.csv": "fa6ac6f0b991a432ee0fe76ca162bf3987b7af9abd22ddfd16b8f1de582465c6",
+    },
+    ("toy", "optimize"): {
+        "optimize.csv": "7053459a81a6fddda0db193188c299e873d6fc258ad9aad3e895f529d8db38d2",
+    },
+    ("toy", "report"): {
+        "report.csv": "e870bf75fa5442ed5983c32fc30d73140185222a90165be87d4ebcc59af22b49",
+    },
+    ("toy", "sweep"): {
+        "sweep.csv": "435260eea960fefc5892038b4aed6f39a12307545d9afa4f842bc2160970c4e1",
+    },
+    ("lithium", "bands"): {
+        "bands.csv": "8eb3fecf2c6d88d3765b4c25f971d32113151e115ab6c2f9f057e2a4e79074d7",
+        "lattice_summary.csv": "a85eea3d9447bc775d3b3029ee32c9d9e7a47e1f7321efe9cdb67e5ada7a6eb9",
+        "wannier.csv": "76a980e471eac553a3b7ef6863ca33399f4c90b1214cff8b6131f674f4f20d0b",
+    },
+    ("lithium", "diatom"): {
+        "diatom_band.csv": "dc451f2bbe78b7261b9ed94a853b0addcec3e74cec5837f92f41c4cb138222b0",
+        "diatom_summary.csv": "27839f7b1cb75247e88a36eaa2514c487d59677987a8e58b8643ee3c8f07ba99",
+        "dipole_profile.csv": "f51c01f24abaf482f24b552ae455204f95041786dea5c396ab984f48492f14d4",
+    },
+    ("lithium", "optimize"): {
+        "optimize.csv": "73023e2af7d369f3a04901ca59732c8c78d42bc8252067bf4b0d89301690c5ff",
+    },
+    ("lithium", "report"): {
+        "report.csv": "defe7beace9277eda52cf6c28f44f79cee823ad174055ce078329e9765dd6799",
+    },
+    ("lithium", "sweep"): {
+        "sweep.csv": "ef8571ec47c965796be168c71bc0f6335896f511059e0cbe2664ef7a45d66c24",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario, command", sorted(TABLE_SHA256))
+def test_output_bytes_are_unchanged(scenario, command, tmp_path):
+    text = SCENARIOS[scenario] + (SWEEPS[scenario] if command == "sweep" else "")
+    rc, out = run(command, text, tmp_path, "--jobs", "1")
+    assert rc == 0
+    assert table_hashes(out) == TABLE_SHA256[scenario, command]
+
+
+COMMANDS = ("bands", "diatom", "distributions", "optimize", "report", "sweep")
+
+WEAK_VDD = TOY.replace("V_dd = -2.16 Erec", "V_dd = -0.05 Erec")
+FAILING_INPUTS = {
+    "u0_zero": TOY.replace("U0 = 7.42 Erec", "U0 = 0 Erec"),
+    "u0_tiny": TOY.replace("U0 = 7.42 Erec", "U0 = 1e-12 Erec"),
+    "weak_vdd_ground": WEAK_VDD,
+    "weak_vdd_envelope": WEAK_VDD.replace(
+        "mode = ground", "mode = envelope\nsigma_E = 1 a"
+    ),
+}
+
+SINGULAR_WIDTH = "harmonic width undefined for zero lattice depth"
+DEGENERATE_BAND = (
+    "lowest band degenerate with first excited band; Wannier gauge is "
+    "undefined in the free-lattice limit"
+)
+CONTINUUM = "bound branch overlaps the continuum (|V_dd| <~ 4 |V_hop|)"
+
+# error message per (input, command), or None where the command succeeds;
+# recorded before the chain became a lazy Model
+EXPECTED_ERRORS = {
+    **{("u0_zero", c): SINGULAR_WIDTH for c in COMMANDS},
+    **{("u0_tiny", c): DEGENERATE_BAND for c in COMMANDS},
+    ("u0_tiny", "optimize"): None,
+    **{
+        (name, c): None if c in ("bands", "optimize") else CONTINUUM
+        for name in ("weak_vdd_ground", "weak_vdd_envelope")
+        for c in COMMANDS
+    },
+}
+
+TEMPERATURE_SWEEP = "\n[sweep]\nparameter = state.T\nvalues = 5 nK, 10 nK\n"
+
+
+@pytest.mark.parametrize("name, command", sorted(EXPECTED_ERRORS))
+def test_failure_behaviour_is_unchanged(name, command, tmp_path, capsys):
+    text = FAILING_INPUTS[name]
+    if command == "sweep":
+        text += TEMPERATURE_SWEEP
+    rc, out = run(command, text, tmp_path, "--jobs", "1")
+    err = capsys.readouterr().err
+    message = EXPECTED_ERRORS[name, command]
+    if message is None:
+        assert rc == 0 and err == ""
+        assert list(out.iterdir())
+        return
+    if command == "sweep":
+        sc = load_scenario(str(tmp_path / "scenario.ini"))
+        message = f"sweep point state.T = {_fmt(sc.sweep[1][0])}: {message}"
+    assert rc == 1
+    assert err == f"error: {message}\n"
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_error_names_its_point(jobs, tmp_path, capsys):
+    text = TOY + "\n[sweep]\nparameter = lattice.U0\nvalues = 7.42 Erec, 0 Erec\n"
+    rc, out = run("sweep", text, tmp_path, "--jobs", jobs)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: sweep point lattice.U0 = 0: {SINGULAR_WIDTH}\n"
+    )
+    assert not out.exists() or not list(out.iterdir())
+    with pytest.raises(SingularityError, match=r"^sweep point lattice\.U0 = 0: "):
+        _sweep_worker((text, "lattice.U0", 0.0))
+
+
+@pytest.mark.parametrize("command", ["diatom", "optimize", "report", "sweep"])
+def test_commands_that_write_no_orbital_never_build_one(
+    command, tmp_path, monkeypatch, capsys
+):
+    def no_wannier(*args, **kwargs):
+        raise DegenerateBandError("the Wannier orbital was built")
+
+    monkeypatch.setattr(lattice, "wannier", no_wannier)
+    text = TOY + (TEMPERATURE_SWEEP if command == "sweep" else "")
+    rc, out = run(command, text, tmp_path, "--jobs", "1")
+    assert rc == 0, capsys.readouterr().err
+    assert list(out.iterdir())
+
+
+def test_thermal_distributions_solve_each_block_once(tmp_path, monkeypatch):
+    calls = []
+    block = diatom.TwoAtomHamiltonian.block
+
+    def counted(self, theta):
+        calls.append(theta)
+        return block(self, theta)
+
+    monkeypatch.setattr(diatom.TwoAtomHamiltonian, "block", counted)
+    text = TOY.replace("mode = ground", "mode = thermal\nT = 10 nK")
+    rc, _ = run("distributions", text, tmp_path, "--jobs", "1")
+    assert rc == 0
+    assert len(calls) == 8  # one block per center-of-mass phase of 8 sites
