@@ -215,14 +215,18 @@ def _cmd_optimize(sc: Scenario, writer: _Writer, args):
     return 0
 
 
-def _sweep_worker(task):
-    """Summary of one sweep point; an error names the point it failed at."""
-    text, path, value = task
-    try:
-        sc = parse_scenario(text).with_param(path, value)
-        return pipeline.Model(sc).summary()
-    except LatticeEprError as exc:
-        raise type(exc)(f"sweep point {path} = {_fmt(value)}: {exc}") from exc
+def _sweep_chunk(task):
+    """Summaries of consecutive sweep points, each a ``with_param`` of one
+    base model; an error names the point it failed at."""
+    text, path, values = task
+    base = pipeline.Model(parse_scenario(text))
+    summaries = []
+    for value in values:
+        try:
+            summaries.append(base.with_param(path, value).summary())
+        except LatticeEprError as exc:
+            raise type(exc)(f"sweep point {path} = {_fmt(value)}: {exc}") from exc
+    return summaries
 
 
 def _cmd_sweep(sc: Scenario, writer: _Writer, args):
@@ -230,13 +234,18 @@ def _cmd_sweep(sc: Scenario, writer: _Writer, args):
         print("scenario has no [sweep] section", file=sys.stderr)
         return 2
     path, values = sc.sweep
-    tasks = [(sc.raw_text, path, v) for v in values]
-    jobs = _jobs(args)
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, tasks))
+    # one chunk of consecutive points per worker, so each worker builds the
+    # stages its points share once
+    n = len(values)
+    chunks = min(_jobs(args), n)
+    bounds = [i * n // chunks for i in range(chunks + 1)]
+    tasks = [(sc.raw_text, path, values[a:b]) for a, b in zip(bounds, bounds[1:])]
+    if chunks > 1:
+        with ProcessPoolExecutor(max_workers=chunks) as pool:
+            summaries = list(pool.map(_sweep_chunk, tasks))
     else:
-        results = [_sweep_worker(t) for t in tasks]
+        summaries = list(map(_sweep_chunk, tasks))
+    results = [r for chunk in summaries for r in chunk]
     keys = sorted(set().union(*(r.keys() for r in results)))
     rows = [
         [value] + [r.get(k) for k in keys] for value, r in zip(values, results)

@@ -7,8 +7,8 @@ report.  Everything here is deterministic for a fixed scenario.
 
 from __future__ import annotations
 
+import functools
 import math
-from functools import cached_property
 
 from . import analysis, diatom, dipole, lattice
 from .core import dipole_moment_sq_from_linewidth
@@ -57,6 +57,30 @@ _REPORT_ORDER = (
 )
 
 
+# per sweep path (scenario.SWEEP_PARAMS), the stages its value cannot reach,
+# which every point of a sweep takes from one base model
+_LATTICE_STAGES = ("spectrum", "hopping", "width", "wannier0")
+_SHARED_STAGES = {
+    "state.T": _LATTICE_STAGES + ("profile", "hamiltonian", "band"),
+    "state.sigma_E": _LATTICE_STAGES + ("profile", "hamiltonian", "band"),
+    "coupling.V_dd": _LATTICE_STAGES,
+    "lattice.U0": ("profile",),
+}
+
+
+def _stage(build):
+    """A stage built on first read and kept, or read from the base model
+    when the model shares it."""
+
+    @functools.wraps(build)
+    def get(self):
+        if build.__name__ in self._shared:
+            return getattr(self._base, build.__name__)
+        return build(self)
+
+    return functools.cached_property(get)
+
+
 def is_golden_scenario(sc: Scenario) -> bool:
     return (
         sc.species.name == "lithium"
@@ -79,8 +103,23 @@ class Model:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
+        self._base = None
+        self._shared = frozenset()
 
-    @cached_property
+    def with_param(self, path, value) -> Model:
+        """Model of this scenario with one sweep parameter replaced.
+
+        The new model reads each stage that ``path`` cannot reach from this
+        one when it first needs it, so the points of a sweep build those
+        stages once.  A stage that fails is not kept: every point that reads
+        it fails there with the same error as a model of its own would.
+        """
+        point = Model(self.scenario.with_param(path, value))
+        point._base = self
+        point._shared = frozenset(_SHARED_STAGES[path])
+        return point
+
+    @_stage
     def spectrum(self) -> lattice.BlochSpectrum:
         sc = self.scenario
         cfg = lattice.LatticeConfig(
@@ -94,19 +133,19 @@ class Model:
         lattice.require_band_gap(spectrum)
         return spectrum
 
-    @cached_property
+    @_stage
     def hopping(self) -> lattice.HoppingResult:
         return lattice.hopping_exact(self.spectrum)
 
-    @cached_property
+    @_stage
     def width(self) -> lattice.WannierWidth:
         return lattice.wannier_gaussian_width(self.scenario.u0)
 
-    @cached_property
+    @_stage
     def wannier0(self) -> lattice.WannierState:
         return lattice.wannier(self.spectrum, site=0)
 
-    @cached_property
+    @_stage
     def profile(self) -> dipole.InteractionProfile:
         """Site-offset interaction profile in E_rec, anchored per the scenario."""
         sc = self.scenario
@@ -132,7 +171,7 @@ class Model:
         )
         return dipole.interaction_profile(coupling, a_si, dj_max=sc.dj_max)
 
-    @cached_property
+    @_stage
     def hamiltonian(self) -> diatom.TwoAtomHamiltonian:
         sc = self.scenario
         return diatom.build_hamiltonian(
@@ -142,11 +181,11 @@ class Model:
             include_offsite=sc.include_offsite,
         )
 
-    @cached_property
+    @_stage
     def band(self) -> diatom.DiatomBand:
         return diatom.diatom_band_exact(self.hamiltonian)
 
-    @cached_property
+    @_stage
     def state(self) -> diatom.TwoAtomState:
         sc = self.scenario
         self.band  # no pair state without a bound branch, in any mode

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .core import AtomSpecies, LaserConfig, SPECIES_PRESETS, UnitSystem
 from .errors import ScenarioError
 
-__all__ = ["Scenario", "parse_scenario", "load_scenario", "BUILTIN_SCENARIOS"]
+__all__ = ["Scenario", "parse_scenario", "load_scenario", "BUILTIN_SCENARIOS", "SWEEP_PARAMS"]
 
 
 _QUANTITY_RE = re.compile(r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*?)\s*$")
@@ -76,6 +76,14 @@ _SECTION_KEYS = {
     "sweep": {"parameter", "values"},
 }
 
+# sweepable parameter path -> (Scenario field, unit kind of its values)
+SWEEP_PARAMS = {
+    "state.T": ("temperature", "temperature_internal"),
+    "state.sigma_E": ("sigma_e", "length_internal"),
+    "lattice.U0": ("u0", "energy_internal"),
+    "coupling.V_dd": ("v_dd", "energy_internal"),
+}
+
 
 def parse_quantity(text):
     """Split '323 nm' into (323.0, 'nm'); validate the unit token."""
@@ -126,15 +134,9 @@ class Scenario:
 
     def with_param(self, path, value):
         """Copy of the scenario with one internal-unit parameter replaced."""
-        mapping = {
-            "state.T": "temperature",
-            "state.sigma_E": "sigma_e",
-            "lattice.U0": "u0",
-            "coupling.V_dd": "v_dd",
-        }
-        if path not in mapping:
+        if path not in SWEEP_PARAMS:
             raise ScenarioError(f"unsupported sweep parameter {path!r}")
-        return dataclasses.replace(self, **{mapping[path]: value})
+        return dataclasses.replace(self, **{SWEEP_PARAMS[path][0]: value})
 
 
 class _Converter:
@@ -333,6 +335,8 @@ def parse_scenario(text: str) -> Scenario:
     an = cp["analysis"] if cp.has_section("analysis") else {}
     samples_per_site = _get_int(an.get("samples_per_site", "32"), "samples_per_site")
     momentum_zones = _get_int(an.get("momentum_zones", "2"), "momentum_zones")
+    if momentum_zones < 1:
+        raise ScenarioError(f"momentum_zones must be at least 1, got {momentum_zones}")
     p1_measured = (
         conv.resolve(an["p1_measured"], "momentum_internal")
         if "p1_measured" in an
@@ -357,14 +361,9 @@ def parse_scenario(text: str) -> Scenario:
         if "parameter" not in sw or "values" not in sw:
             raise ScenarioError("sweep section needs parameter and values")
         path = sw["parameter"].strip()
-        expected = {
-            "state.T": "temperature_internal",
-            "state.sigma_E": "length_internal",
-            "lattice.U0": "energy_internal",
-            "coupling.V_dd": "energy_internal",
-        }.get(path)
-        if expected is None:
+        if path not in SWEEP_PARAMS:
             raise ScenarioError(f"unsupported sweep parameter {path!r}")
+        expected = SWEEP_PARAMS[path][1]
         values = [
             conv.resolve(part.strip(), expected)
             for part in sw["values"].split(",")

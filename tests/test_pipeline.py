@@ -1,15 +1,16 @@
 """The lazy pipeline behind the CLI: output bytes and failure behaviour of
-every command, stages computed only when read, and sweep errors that name
-their point."""
+every command, stages computed only when read, sweep points that share the
+stages their parameter cannot reach, and sweep errors that name their
+point."""
 
 import hashlib
 
 import pytest
 
-from lattice_epr import diatom, lattice
-from lattice_epr.cli import _fmt, _sweep_worker, main
-from lattice_epr.errors import DegenerateBandError, SingularityError
-from lattice_epr.scenario import LITHIUM_EXAMPLE, load_scenario
+from lattice_epr import cli, diatom, lattice, pipeline
+from lattice_epr.cli import _fmt, _sweep_chunk, main
+from lattice_epr.errors import DegenerateBandError, LatticeEprError, SingularityError
+from lattice_epr.scenario import LITHIUM_EXAMPLE, SWEEP_PARAMS, load_scenario, parse_scenario
 from test_cli import TOY
 
 SCENARIOS = {
@@ -154,7 +155,7 @@ def test_sweep_error_names_its_point(jobs, tmp_path, capsys):
     )
     assert not out.exists() or not list(out.iterdir())
     with pytest.raises(SingularityError, match=r"^sweep point lattice\.U0 = 0: "):
-        _sweep_worker((text, "lattice.U0", 0.0))
+        _sweep_chunk((text, "lattice.U0", [7.42, 0.0]))
 
 
 @pytest.mark.parametrize("command", ["diatom", "optimize", "report", "sweep"])
@@ -184,3 +185,111 @@ def test_thermal_distributions_solve_each_block_once(tmp_path, monkeypatch):
     rc, _ = run("distributions", text, tmp_path, "--jobs", "1")
     assert rc == 0
     assert len(calls) == 8  # one block per center-of-mass phase of 8 sites
+
+
+SWEEP_VALUES = {
+    "state.T": "5 nK, 10 nK, 20 nK",
+    "state.sigma_E": "4 a, 6 a, 8 a",
+    "lattice.U0": "6 Erec, 7.42 Erec, 9 Erec",
+    "coupling.V_dd": "-1.5 Erec, -2.16 Erec, -3 Erec",
+}
+
+
+def sweep_text(text, path):
+    return text + f"\n[sweep]\nparameter = {path}\nvalues = {SWEEP_VALUES[path]}\n"
+
+
+# sha256 of sweep.csv, recorded before sweep points shared their base's stages
+SWEEP_SHA256 = {
+    ("toy", "state.T"): "db8ef22dafb3be7391904bfcdf973d34badeeeb7bfc01e8fabae4ae247bbeea0",
+    ("toy", "state.sigma_E"): "360fcc0116aa029d4ce5259fbf238f54ec6775a9b4a0d3b20bc290133ada2384",
+    ("toy", "coupling.V_dd"): "cfb8528a3d85e90e1f77946146525a946c37243ce33b13fdfbfc22cd9258fa03",
+    ("lithium", "state.sigma_E"): "0461a712b3abbcc59802ed9be91d6961597396789a289df8ef18a943570115ed",
+    ("lithium", "coupling.V_dd"): "c3d7f226231e60779048f633f0187cad4cf54470a6ee981199d596d44e3b7994",
+}
+
+
+@pytest.mark.parametrize("scenario, path", sorted(SWEEP_SHA256))
+def test_sweep_bytes_are_unchanged(scenario, path, tmp_path):
+    rc, out = run("sweep", sweep_text(SCENARIOS[scenario], path), tmp_path, "--jobs", "1")
+    assert rc == 0
+    assert table_hashes(out) == {"sweep.csv": SWEEP_SHA256[scenario, path]}
+
+
+def test_every_sweep_path_has_its_shared_stages():
+    assert set(pipeline._SHARED_STAGES) == set(SWEEP_PARAMS)
+
+
+def outcome(model):
+    try:
+        return model.summary()
+    except LatticeEprError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("path", sorted(SWEEP_PARAMS))
+@pytest.mark.parametrize("text", [TOY, LITHIUM_EXAMPLE, *FAILING_INPUTS.values()],
+                         ids=["toy", "lithium", *FAILING_INPUTS])
+def test_shared_points_equal_models_of_their_own(text, path):
+    sc = parse_scenario(sweep_text(text, path))
+    base = pipeline.Model(sc)
+    for value in sc.sweep[1]:
+        shared = outcome(base.with_param(path, value))
+        assert shared == outcome(pipeline.Model(sc.with_param(path, value)))
+
+
+@pytest.mark.parametrize(
+    "path, band_structures, blocks",
+    [("state.T", 1, 8), ("state.sigma_E", 1, 8), ("coupling.V_dd", 1, 24),
+     ("lattice.U0", 3, 24)],
+)
+def test_sweep_builds_each_unreachable_stage_once(
+    path, band_structures, blocks, tmp_path, monkeypatch
+):
+    calls = []
+    band_structure = lattice.band_structure
+    block = diatom.TwoAtomHamiltonian.block
+
+    def counted_band_structure(cfg):
+        calls.append("band_structure")
+        return band_structure(cfg)
+
+    def counted_block(self, theta):
+        calls.append("block")
+        return block(self, theta)
+
+    monkeypatch.setattr(lattice, "band_structure", counted_band_structure)
+    monkeypatch.setattr(diatom.TwoAtomHamiltonian, "block", counted_block)
+    rc, _ = run("sweep", sweep_text(TOY, path), tmp_path, "--jobs", "1")
+    assert rc == 0
+    assert calls.count("band_structure") == band_structures
+    assert calls.count("block") == blocks  # 8 center-of-mass phases per band
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor and records its worker count."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, workers", [("64", [3]), ("2", [2]), ("1", [])])
+def test_sweep_starts_no_more_workers_than_points(jobs, workers, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "workers", [])
+    text = sweep_text(TOY, "state.T")
+    rc, out = run("sweep", text, tmp_path, "--jobs", jobs)
+    assert rc == 0
+    assert SerialPool.workers == workers
+    assert table_hashes(out) == {"sweep.csv": SWEEP_SHA256["toy", "state.T"]}

@@ -1,10 +1,13 @@
 """Scenario grammar: unit parsing, validation, builtin example."""
 
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lattice_epr import scenario
+from lattice_epr.cli import main
 from lattice_epr.errors import ScenarioError
 
 MINIMAL = """\
@@ -185,3 +188,44 @@ def test_load_scenario_missing_file(tmp_path):
     path.write_text(MINIMAL)
     sc = scenario.load_scenario(str(path))
     assert sc.u0 == pytest.approx(7.42)
+
+
+@pytest.mark.parametrize("zones", [0, -1])
+def test_momentum_zones_below_one_rejected(zones, tmp_path, capsys):
+    text = MINIMAL + f"\n[analysis]\nmomentum_zones = {zones}\n"
+    with pytest.raises(ScenarioError, match="momentum_zones"):
+        make(text)
+    path = tmp_path / "zones.ini"
+    path.write_text(text)
+    rc = main(["distributions", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "momentum_zones" in err
+    assert not (tmp_path / "out").exists()
+
+
+# every "key = value" line of the builtin example, as (start, end) of the value
+_EXAMPLE_VALUES = [
+    m.span(1)
+    for m in re.finditer(r"^\w+ = (.*)$", scenario.LITHIUM_EXAMPLE, re.MULTILINE)
+]
+_NUMBERS = st.one_of(st.integers().map(str), st.floats().map(repr))
+_QUANTITIES = st.builds(
+    "{} {}".format,
+    _NUMBERS,
+    st.one_of(st.sampled_from(sorted(scenario._UNITS)), st.text(max_size=8)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    span=st.sampled_from(_EXAMPLE_VALUES),
+    value=st.one_of(st.text(), _NUMBERS, _QUANTITIES),
+)
+def test_parse_scenario_raises_only_scenario_error(span, value):
+    start, end = span
+    text = scenario.LITHIUM_EXAMPLE[:start] + value + scenario.LITHIUM_EXAMPLE[end:]
+    try:
+        scenario.parse_scenario(text)
+    except ScenarioError:
+        pass
