@@ -131,13 +131,21 @@ class Slice1D:
 # ---------------------------------------------------------------------------
 # joint densities
 
-# rows per block of the position grid; blocks this tall reproduce the
-# unblocked GEMM bit for bit, while very short ones take another BLAS path
+# rows per block and columns per tile of the position grid; blocks this tall
+# reproduce the unblocked GEMM bit for bit, while very short ones take
+# another BLAS path
 _POSITION_BLOCK_ROWS = 256
+_POSITION_TILE_COLS = 256
 
 
 def _position_block(w, members, out, lo, hi):
     """Weighted sum over members of |w[lo:hi] c w^T|^2 into out[lo:hi].
+
+    Both products contract only over the sites, in ascending order, where
+    both factors have a non-zero column; the second one does so per tile of
+    grid columns unless no site is left out anywhere.  The terms left out
+    are exact zeros, so the result is that of the full products, and a tile
+    without such a site stays exactly 0.
 
     Runs in worker threads, so it calls nothing but numpy: the package's
     functions then only ever run on the calling thread.
@@ -145,11 +153,28 @@ def _position_block(w, members, out, lo, hi):
     acc = out[lo:hi]
     acc[...] = 0.0
     buf = np.empty_like(acc)
+    rows = w[lo:hi]
+    sites = np.flatnonzero(rows.any(axis=0))
+    rows = rows[:, sites]
+    starts = range(0, len(w), _POSITION_TILE_COLS)
+    tile_nonzero = np.array([w[t : t + _POSITION_TILE_COLS].any(axis=0) for t in starts])
     for weight, c in members:
-        np.abs(w[lo:hi] @ c @ w.T, out=buf)
-        np.square(buf, out=buf)
-        buf *= weight
-        acc += buf
+        left = rows @ c[sites]
+        both = left.any(axis=0) & tile_nonzero
+        if both.all():
+            spans = [(0, len(w), slice(None))]
+        else:
+            spans = [
+                (t, t + _POSITION_TILE_COLS, np.flatnonzero(common))
+                for t, common in zip(starts, both)
+                if common.any()
+            ]
+        for t0, t1, common in spans:
+            tile = buf[:, t0:t1]
+            np.abs(left[:, common] @ w[t0:t1, common].T, out=tile)
+            np.square(tile, out=tile)
+            tile *= weight
+            acc[:, t0:t1] += tile
 
 
 def joint_position_density(

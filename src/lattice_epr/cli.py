@@ -11,9 +11,13 @@ the scenario hash; identical inputs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
+import numpy as np
 
 from . import __version__, analysis, pipeline
 from .errors import LatticeEprError
@@ -32,13 +36,172 @@ def _fmt(value):
     return str(value)
 
 
-class _Writer:
-    """Tracks written files so partial outputs can be removed on failure."""
+# ---------------------------------------------------------------------------
+# grid tables: format(v, ".12g") for whole blocks of values in numpy
+#
+# A number is laid out in a field of four 8-byte words, and a byte mask
+# keeps the bytes it prints.  The pieces are aligned so that the kept bytes
+# form two runs per number: compacting with the mask costs per run as well
+# as per byte.
+#   word 0     sign and leading digit, right-aligned: "-d." (exponent form
+#              and exponent 0), "-d" (exponents 1..11) or "-0.00d" (-4..-1)
+#   words 1-2  the other 11 digits, with a '.' after the integer digits
+#              for exponents 1..11
+#   word 3     "e-05\n", "e+123\n" or "\n"
+_FIELD_BYTES = 32
+_MIN_EXP = -330     # decimal exponents of the tables indexed by exponent
+_MAX_EXP = 330
+# values formatted per block: a few MB per worker thread, and bounds that
+# depend only on the grid size
+_GRID_BLOCK_VALUES = 8192
 
-    def __init__(self, out_dir, scenario: Scenario, delimiter: str):
+
+def _words(chunks, align):
+    """Byte strings of at most 8 bytes, padded with NUL bytes to the
+    ``align`` ("left" or "right"), as 8-byte words."""
+    pad = bytes.ljust if align == "left" else bytes.rjust
+    return np.frombuffer(b"".join(pad(c, 8, b"\0") for c in chunks), np.uint64)
+
+
+@functools.cache
+def _g12_tables():
+    """Lookup tables of the ".12g" kernel, built on first use."""
+    quads = [f"{i:04d}" for i in range(10_000)]
+    # the four digits of 0..9999 as the low bytes of a word, and their
+    # trailing zeros (4 for 0)
+    digits = _words([q.encode() for q in quads], "left")
+    zeros = np.array([4] + [len(q) - len(q.rstrip("0")) for q in quads[1:]])
+    exps = range(_MIN_EXP, _MAX_EXP + 1)
+    # correctly rounded 10**k, for k = -330 .. 330 (0 and inf at the ends)
+    pow10 = np.array([float(f"1e{k}") for k in exps])
+    # layout class by exponent: fixed form -4..11 -> 0..15, exponent form
+    # with two (16) or three (17) exponent digits
+    layout = np.array([x + 4 if -4 <= x < 12 else 16 + (abs(x) >= 100) for x in exps])
+    suffix = _words([b"e%+03d\n" % x if c >= 16 else b"\n" for x, c in zip(exps, layout)], "left")
+
+    def lead_bytes(sign, cls, d):
+        x = 0 if cls >= 16 else cls - 4
+        if x > 0:
+            body = b"%d" % d
+        elif x == 0:
+            body = b"%d." % d
+        else:
+            body = b"0." + b"0" * -(x + 1) + b"%d" % d
+        return b"-" * sign + body
+
+    lead = _words([lead_bytes(*key) for key in np.ndindex(2, 18, 10)], "right")
+    # byte masks by (sign, layout class, significant digits kept)
+    masks = np.zeros((2, 18, 13, _FIELD_BYTES), bool)
+    for sign, cls, kept in np.ndindex(2, 18, 13):
+        x = 0 if cls >= 16 else cls - 4
+        if x <= 0:
+            rest = kept - 1     # the digits after the leading one
+        elif kept <= x + 1:
+            rest = x            # integer digits only, no '.'
+        else:
+            rest = kept         # kept - 1 digits and the '.'
+        m = masks[sign, cls, kept]
+        m[8 - len(lead_bytes(sign, cls, 0)) : 8 - (x == 0 and kept == 1)] = True
+        m[8 : 8 + rest] = True
+        m[24 : 24 + (1 if cls < 16 else cls - 11)] = True  # "\n", "e-05\n", "e+123\n"
+    return digits, zeros, pow10, layout, suffix, lead, masks.view(np.uint64).reshape(-1, 4)
+
+
+def _g12_fields(values, words, mask_words):
+    """Write format(v, ".12g") + "\\n" of each value into its field:
+    ``words`` and ``mask_words`` are (len(values), 4) uint64 views.
+
+    The 12 digits are rint(|v| 10**(11 - x)) for the decimal exponent x.
+    The float64 product is off by at most ~2.3e-4 of a unit, so values whose
+    product lies within 1e-3 of a rounding tie, and zero, non-finite, tiny
+    and huge values, are left to ``format`` itself.
+    """
+    digits, zeros, pow10, layout, suffix, lead, masks = _g12_tables()
+    a = np.abs(values)
+    exact = (a >= 1e-290) & (a < 1e290)
+    a[~exact] = 1.0
+    x = np.floor(np.log10(a)).astype(np.int64)
+    p = a * pow10[11 - _MIN_EXP - x]
+    off = np.flatnonzero((p < 1e11) | (p >= 1e12))   # log10 next to a power of 10
+    x[off] += np.where(p[off] < 1e11, -1, 1)
+    p[off] = a[off] * pow10[11 - _MIN_EXP - x[off]]
+    d = np.rint(p)
+    exact &= np.abs(p - np.floor(p) - 0.5) >= 1e-3
+    carry = d == 1e12                                # rounded up to 10**(x + 1)
+    d[carry] = 1e11
+    x += carry
+    exact &= (d >= 1e11) & (d < 1e12)
+    d[~exact] = 1e11
+    d = d.astype(np.int64)
+    hi, d4 = d // 100_000_000, d // 10_000
+    mid, lo = d4 - hi * 10_000, d - d4 * 10_000
+    # significant digits kept: 12 less the trailing zeros, which run on
+    # into mid where lo is 0 and into hi where lo and mid are
+    kept = 12 - zeros[lo]
+    for zero, more in ((lo == 0, mid), (lo + mid == 0, hi)):
+        kept[zero] -= zeros[more[zero]]
+    x -= _MIN_EXP
+    cls = np.signbit(values) * 18 + layout[x]
+    # the four digits of hi, mid and lo; word 0 takes the first of them
+    q1, q2, q3 = digits[hi], digits[mid], digits[lo]
+    words[:, 0] = lead[cls * 10 + hi // 1000]
+    words[:, 1] = (q1 >> 8) | (q2 << 24) | (q3 << 56)
+    words[:, 2] = q3 >> 8
+    words[:, 3] = suffix[x]
+    mask_words[...] = masks.take(cls * 13 + kept, axis=0)
+    field, mask = words.view(np.uint8), mask_words.view(bool)
+    # a '.' after the integer digits of exponents 1..11
+    fixed = np.flatnonzero((x > -_MIN_EXP) & (x < 12 - _MIN_EXP))
+    at = x[fixed, None] + _MIN_EXP
+    col = np.arange(12)
+    field[fixed, 8:20] = np.where(
+        col < at, field[fixed, 8:20], np.where(col == at, ord("."), field[fixed, 7:19])
+    )
+    bad = np.flatnonzero(~exact)
+    if len(bad):
+        text = b"".join((format(v, ".12g") + "\n").encode().ljust(_FIELD_BYTES, b"\0")
+                        for v in values[bad].tolist())
+        field[bad] = np.frombuffer(text, np.uint8).reshape(len(bad), -1)
+        mask[bad] = field[bad] != 0
+
+
+def _label_words(labels, width):
+    """ASCII labels padded with NUL bytes to ``width`` (a multiple of 8)
+    bytes as words, and the words of their byte masks."""
+    data = np.frombuffer("".join(s.ljust(width, "\0") for s in labels).encode(), np.uint64)
+    mask = np.frombuffer(bytes(data.view(np.uint8) != 0), np.uint64)
+    return data.reshape(len(labels), -1), mask.reshape(len(labels), -1)
+
+
+def _grid_block(heads, middles, density):
+    """The lines head + middle + number of the rows of ``density``.  The
+    head words of a row are ORed into the first label words of its lines."""
+    (head, head_mask), (middle, middle_mask) = heads, middles
+    rows, cols = density.shape
+    n = middle.shape[1]
+    words = np.empty((rows, cols, n + _FIELD_BYTES // 8), np.uint64)
+    mask_words = np.empty_like(words)
+    words[..., :n] = middle
+    mask_words[..., :n] = middle_mask
+    for k in range(head.shape[1]):
+        words[..., k] |= head[:, k, None]
+        mask_words[..., k] |= head_mask[:, k, None]
+    flat = (rows * cols, -1)
+    _g12_fields(density.ravel(), words.reshape(flat)[:, n:], mask_words.reshape(flat)[:, n:])
+    return words.view(np.uint8)[mask_words.view(bool)]
+
+
+class _Writer:
+    """Tracks written files so partial outputs can be removed on failure.
+
+    Grid tables are formatted on ``jobs`` threads.
+    """
+
+    def __init__(self, out_dir, scenario: Scenario, delimiter: str, jobs: int = 1):
         self.out_dir = out_dir
         self.scenario = scenario
         self.delimiter = delimiter
+        self.jobs = jobs
         self.written = []
 
     def table(self, name, columns, rows):
@@ -46,27 +209,48 @@ class _Writer:
         as (axis1, axis2, density) rows in C order."""
         os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# lattice-epr {__version__}\n")
-            fh.write(f"# scenario sha256: {self.scenario.sha256}\n")
-            fh.write(self.delimiter.join(columns) + "\n")
+        header = [f"# lattice-epr {__version__}",
+                  f"# scenario sha256: {self.scenario.sha256}",
+                  self.delimiter.join(columns)]
+        with open(path, "wb") as fh:
+            fh.write("".join(line + "\n" for line in header).encode())
             if isinstance(rows, analysis.DistributionGrid):
                 self._grid(fh, rows)
             else:
                 for row in rows:
-                    fh.write(self.delimiter.join(_fmt(v) for v in row) + "\n")
+                    fh.write((self.delimiter.join(_fmt(v) for v in row) + "\n").encode())
         self.written.append(path)
         return path
 
     def _grid(self, fh, grid):
-        # "%.12g" % v is format(v, ".12g") for every float, so one string
-        # template per grid row formats all of its values in a single call
+        """Format blocks of grid rows on worker threads; write them in order."""
+        rows, cols = grid.density.shape
+        if not rows or not cols:
+            return
         d = self.delimiter
+        heads = [_fmt(x1) for x1 in grid.axis1.tolist()]
         middles = [d + _fmt(x2) + d for x2 in grid.axis2.tolist()]
-        for x1, values in zip(grid.axis1.tolist(), grid.density):
-            head = _fmt(x1)
-            template = head + ("%.12g\n" + head).join(middles) + "%.12g\n"
-            fh.write(template % tuple(values.tolist()))
+        # head right-aligned and middle left-aligned after it: one run of bytes
+        hw, mw = max(map(len, heads)), max(map(len, middles))
+        width = -(-(hw + mw) // 8) * 8
+        head = _label_words([s.rjust(hw, "\0") for s in heads], -(-hw // 8) * 8)
+        middle = _label_words(["\0" * hw + s for s in middles], width)
+        _g12_tables()  # build once, before the workers start
+        step = max(_GRID_BLOCK_VALUES // cols, 1)
+
+        def block(lo):
+            hi = min(lo + step, rows)
+            return _grid_block((head[0][lo:hi], head[1][lo:hi]), middle, grid.density[lo:hi])
+
+        threads = min(self.jobs, -(-rows // step))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            pending = deque()
+            for lo in range(0, rows, step):
+                pending.append(pool.submit(block, lo))
+                if len(pending) > threads:
+                    fh.write(pending.popleft().result())
+            while pending:
+                fh.write(pending.popleft().result())
 
     def cleanup(self):
         for path in self.written:
@@ -215,18 +399,26 @@ def _cmd_optimize(sc: Scenario, writer: _Writer, args):
     return 0
 
 
-def _sweep_chunk(task):
-    """Summaries of consecutive sweep points, each a ``with_param`` of one
-    base model; an error names the point it failed at."""
-    text, path, values = task
-    base = pipeline.Model(parse_scenario(text))
-    summaries = []
-    for value in values:
-        try:
-            summaries.append(base.with_param(path, value).summary())
-        except LatticeEprError as exc:
-            raise type(exc)(f"sweep point {path} = {_fmt(value)}: {exc}") from exc
-    return summaries
+def _sweep_point(base, path, value):
+    """Summary of one sweep point, ``base.with_param(path, value)``; an
+    error names the point."""
+    try:
+        return base.with_param(path, value).summary()
+    except LatticeEprError as exc:
+        raise type(exc)(f"sweep point {path} = {_fmt(value)}: {exc}") from exc
+
+
+# the base model of a sweep worker process, built once by its initializer
+_worker_base = None
+
+
+def _init_sweep_worker(text):
+    global _worker_base
+    _worker_base = pipeline.Model(parse_scenario(text))
+
+
+def _sweep_worker_point(task):
+    return _sweep_point(_worker_base, *task)
 
 
 def _cmd_sweep(sc: Scenario, writer: _Writer, args):
@@ -234,18 +426,17 @@ def _cmd_sweep(sc: Scenario, writer: _Writer, args):
         print("scenario has no [sweep] section", file=sys.stderr)
         return 2
     path, values = sc.sweep
-    # one chunk of consecutive points per worker, so each worker builds the
-    # stages its points share once
-    n = len(values)
-    chunks = min(_jobs(args), n)
-    bounds = [i * n // chunks for i in range(chunks + 1)]
-    tasks = [(sc.raw_text, path, values[a:b]) for a, b in zip(bounds, bounds[1:])]
-    if chunks > 1:
-        with ProcessPoolExecutor(max_workers=chunks) as pool:
-            summaries = list(pool.map(_sweep_chunk, tasks))
+    # one base model per worker, which builds the stages its points share
+    # once; one point per task, so the workers balance their load
+    workers = min(_jobs(args), len(values))
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_sweep_worker, initargs=(sc.raw_text,)
+        ) as pool:
+            results = list(pool.map(_sweep_worker_point, [(path, v) for v in values]))
     else:
-        summaries = list(map(_sweep_chunk, tasks))
-    results = [r for chunk in summaries for r in chunk]
+        base = pipeline.Model(sc)
+        results = [_sweep_point(base, path, v) for v in values]
     keys = sorted(set().union(*(r.keys() for r in results)))
     rows = [
         [value] + [r.get(k) for k in keys] for value, r in zip(values, results)
@@ -293,7 +484,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     delimiter = "," if args.format == "csv" else "\t"
-    writer = _Writer(args.out, sc, delimiter)
+    writer = _Writer(args.out, sc, delimiter, _jobs(args))
     try:
         return _COMMANDS[args.command](sc, writer, args)
     except LatticeEprError as exc:

@@ -59,6 +59,68 @@ def test_position_density_matches_unblocked_loop(li_hopping, li_wannier, jobs):
     np.testing.assert_allclose(grid.density, ref, rtol=1e-13, atol=0.0)
 
 
+def _position_density_unskipped(state, orbital, samples_per_site):
+    """Reference: the row-block loop with full products, block bounds as in
+    joint_position_density."""
+    n = state.n_sites
+    step = 1.0 / samples_per_site
+    x = np.arange(n * samples_per_site) * step
+    sites = np.arange(n, dtype=float)
+    dx = (x[:, None] - sites[None, :] + n / 2.0) % n - n / 2.0
+    w = analysis._orbital_amplitude(orbital, dx)
+    g = len(x)
+    bounds = np.linspace(0, g, -(-g // analysis._POSITION_BLOCK_ROWS) + 1).astype(int)
+    dens = np.empty((g, g))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        acc = dens[lo:hi]
+        acc[...] = 0.0
+        buf = np.empty_like(acc)
+        for weight, c in state.members:
+            np.abs(w[lo:hi] @ c @ w.T, out=buf)
+            np.square(buf, out=buf)
+            buf *= weight
+            acc += buf
+    return dens / (dens.sum() * step * step), (w == 0).any()
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("orbital", ["wannier", "gaussian"])
+def test_position_density_skips_only_exact_zeros(li_hopping, li_wannier, orbital, jobs):
+    h = diatom.build_hamiltonian(20, li_hopping.v_hop, nearest_only_profile(-2.16))
+    state = diatom.thermal_diatom_state(h, 0.01, sigma_e=2.0)
+    orb = li_wannier if orbital == "wannier" else 0.136
+    ref, has_zeros = _position_density_unskipped(state, orb, 32)
+    # the Gaussian orbital underflows to exact zeros beyond ~7 sites
+    assert has_zeros == (orbital == "gaussian")
+    grid = analysis.joint_position_density(state, orb, 32, jobs=jobs)
+    assert np.array_equal(grid.density, ref)
+
+
+def _ring_distance(a, b, n):
+    return np.abs((a[:, None] - b[None, :] + n / 2) % n - n / 2)
+
+
+def test_position_block_leaves_tiles_without_common_sites_at_zero():
+    rng = np.random.default_rng(7)
+    g, n = 1024, 32
+    # orbital rows non-zero on the 5 sites nearest them, banded amplitudes
+    w = np.where(
+        _ring_distance(np.arange(g) // 32, np.arange(n), n) <= 2,
+        rng.standard_normal((g, n)),
+        0.0,
+    )
+    band = _ring_distance(np.arange(n), np.arange(n), n) <= 1
+    members = [
+        (weight, np.where(band, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 0))
+        for weight in (0.7, 0.3)
+    ]
+    out = np.empty((g, g))
+    analysis._position_block(w, members, out, 256, 512)
+    ref = sum(weight * np.abs(w[256:512] @ c @ w.T) ** 2 for weight, c in members)
+    assert np.array_equal(out[256:512], ref)
+    assert not out[256:512, 768:].any()  # sites 24..31 share no site with 8..15
+
+
 def test_position_density_grid_guard(small_ground):
     with pytest.raises(GridError):
         analysis.joint_position_density(small_ground, 0.136, 8)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 import lattice_epr
 from lattice_epr import __version__
 from lattice_epr.analysis import DistributionGrid
+from lattice_epr import cli
 from lattice_epr.cli import _fmt, _Writer, main
 
 TOY = """\
@@ -219,7 +221,45 @@ def _write_grid_reference(path, sha256, delimiter, columns, grid):
 _SPECIAL_FLOATS = [
     0.0, -0.0, 5e-324, -2.2e-308, 1e16, -1e16, math.inf, -math.inf, math.nan
 ]
-_grid_values = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
+
+
+@st.composite
+def _decimal_ties(draw):
+    """Values of 13 significant digits ending in 5, exactly representable:
+    halfway between two 12-digit decimals (1234567890.125 is one)."""
+    k = draw(st.integers(1, 12))  # fraction digits of odd / 2**k
+    whole = draw(st.integers(10 ** (12 - k), 10 ** (13 - k) - 1))
+    odd = 2 * draw(st.integers(0, 2 ** (k - 1) - 1)) + 1
+    return draw(st.sampled_from([1.0, -1.0])) * (whole + odd / 2**k)
+
+
+# the neighbours of powers of ten and of the values that round up to one
+_decade_edges = st.builds(
+    lambda mantissa, k, toward, sign: sign * float(np.nextafter(float(f"{mantissa}e{k}"), toward)),
+    st.sampled_from(["1", "9.999999999995"]),
+    st.integers(-330, 310),
+    st.sampled_from([0.0, math.inf, math.nan]),  # below, above, the value itself
+    st.sampled_from([1.0, -1.0]),
+)
+
+_grid_values = st.one_of(
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.floats(),
+    st.floats(allow_subnormal=True, min_value=-2.3e-308, max_value=2.3e-308),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-300, 300)),
+    _decimal_ties(),
+    _decade_edges,
+)
+
+
+def test_grid_table_rounds_a_decimal_tie_half_to_even(tmp_path):
+    grid = DistributionGrid(
+        axis1=np.array([0.5]), axis2=np.array([1.5]),
+        density=np.array([[1234567890.125]]), kind="position",
+    )
+    scenario = types.SimpleNamespace(sha256="ab" * 32)
+    path = _Writer(str(tmp_path), scenario, ",").table("grid", ["a", "b", "c"], grid)
+    assert Path(path).read_text().splitlines()[-1] == "0.5,1.5,1234567890.12"
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,8 +268,9 @@ _grid_values = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
     axis1=hnp.arrays(np.float64, st.integers(1, 6), elements=_grid_values),
     axis2=hnp.arrays(np.float64, st.integers(1, 6), elements=_grid_values),
     data=st.data(),
+    jobs=st.sampled_from([1, 3]),
 )
-def test_grid_table_matches_row_writer(delimiter, axis1, axis2, data):
+def test_grid_table_matches_row_writer(delimiter, axis1, axis2, data, jobs):
     density = data.draw(
         hnp.arrays(np.float64, (len(axis1), len(axis2)), elements=_grid_values)
     )
@@ -237,10 +278,64 @@ def test_grid_table_matches_row_writer(delimiter, axis1, axis2, data):
     scenario = types.SimpleNamespace(sha256="ab" * 32)
     columns = ["x1", "x2", "density"]
     with tempfile.TemporaryDirectory() as tmp:
-        path = _Writer(tmp, scenario, delimiter).table("grid", columns, grid)
+        path = _Writer(tmp, scenario, delimiter, jobs).table("grid", columns, grid)
         reference = os.path.join(tmp, "reference")
         _write_grid_reference(reference, scenario.sha256, delimiter, columns, grid)
         assert Path(path).read_bytes() == Path(reference).read_bytes()
+
+
+def test_grid_table_leaves_only_ties_and_special_values_to_format(tmp_path, monkeypatch):
+    # at most 9 significant digits: never close to a tie of the 12th digit
+    rng = np.random.default_rng(5)
+    density = rng.integers(1, 10**9, (40, 50)) * 10.0 ** rng.integers(-120, 120, (40, 50))
+    fallback = {
+        (3, 4): 1234567890.125,         # exact decimal tie
+        (7, 0): -1.000000000005e-7,     # within 1e-3 of a tie after scaling
+        (9, 9): 0.0,
+        (11, 2): math.inf,
+        (20, 30): 5e-324,               # subnormal
+        (39, 49): 1e300,                # beyond 1e290
+    }
+    for ij, value in fallback.items():
+        density[ij] = value
+    formatted = []
+
+    def recording_format(value, spec):
+        formatted.append(value)
+        return format(value, spec)
+
+    # negative integer labels, so no label equals a density value
+    axis1, axis2 = -1.0 - np.arange(40), -1.0 - np.arange(50)
+    grid = DistributionGrid(axis1=axis1, axis2=axis2, density=density, kind="position")
+    scenario = types.SimpleNamespace(sha256="cd" * 32)
+    reference = tmp_path / "reference"
+    _write_grid_reference(reference, scenario.sha256, ",", ["a", "b", "c"], grid)
+    monkeypatch.setattr(cli, "format", recording_format, raising=False)
+    path = _Writer(str(tmp_path), scenario, ",", 2).table("grid", ["a", "b", "c"], grid)
+    assert Path(path).read_bytes() == reference.read_bytes()
+    labels = set(axis1.tolist()) | set(axis2.tolist())
+    values = sorted(v for v in formatted if v not in labels)
+    assert values == sorted(fallback.values())
+
+
+# traced peak of writing a grid table: a few blocks of rows in flight, so it
+# does not grow with the number of rows (about 5 MB at 1024 x 1024)
+GRID_WRITE_BUDGET_BYTES = 8_000_000
+
+
+def test_grid_table_memory_stays_within_a_fixed_budget(tmp_path):
+    axis = np.arange(1024) / 32.0
+    density = np.random.default_rng(3).random((1024, 1024)) * 1e-3
+    grid = DistributionGrid(axis1=axis, axis2=axis.copy(), density=density, kind="position")
+    writer = _Writer(str(tmp_path), types.SimpleNamespace(sha256="ef" * 32), ",", 2)
+    tracemalloc.start()
+    try:
+        path = writer.table("grid.csv", ["x1", "x2", "density"], grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert Path(path).stat().st_size > 1024 * 1024 * 20
+    assert peak < GRID_WRITE_BUDGET_BYTES
 
 
 @pytest.fixture

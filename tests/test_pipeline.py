@@ -8,7 +8,7 @@ import hashlib
 import pytest
 
 from lattice_epr import cli, diatom, lattice, pipeline
-from lattice_epr.cli import _fmt, _sweep_chunk, main
+from lattice_epr.cli import _fmt, _sweep_point, main
 from lattice_epr.errors import DegenerateBandError, LatticeEprError, SingularityError
 from lattice_epr.scenario import LITHIUM_EXAMPLE, SWEEP_PARAMS, load_scenario, parse_scenario
 from test_cli import TOY
@@ -155,7 +155,7 @@ def test_sweep_error_names_its_point(jobs, tmp_path, capsys):
     )
     assert not out.exists() or not list(out.iterdir())
     with pytest.raises(SingularityError, match=r"^sweep point lattice\.U0 = 0: "):
-        _sweep_chunk((text, "lattice.U0", [7.42, 0.0]))
+        _sweep_point(pipeline.Model(parse_scenario(text)), "lattice.U0", 0.0)
 
 
 @pytest.mark.parametrize("command", ["diatom", "optimize", "report", "sweep"])
@@ -267,12 +267,15 @@ def test_sweep_builds_each_unreachable_stage_once(
 
 
 class SerialPool:
-    """Stands in for ProcessPoolExecutor and records its worker count."""
+    """Stands in for ProcessPoolExecutor: runs the initializer once and every
+    task in this process, and records the worker and task counts."""
 
     workers = []
+    tasks = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         self.workers.append(max_workers)
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -281,6 +284,7 @@ class SerialPool:
         return False
 
     def map(self, fn, tasks):
+        self.tasks.append(len(tasks))
         return map(fn, tasks)
 
 
@@ -288,8 +292,11 @@ class SerialPool:
 def test_sweep_starts_no_more_workers_than_points(jobs, workers, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(SerialPool, "workers", [])
+    monkeypatch.setattr(SerialPool, "tasks", [])
+    monkeypatch.setattr(cli, "_worker_base", None)
     text = sweep_text(TOY, "state.T")
     rc, out = run("sweep", text, tmp_path, "--jobs", jobs)
     assert rc == 0
     assert SerialPool.workers == workers
+    assert SerialPool.tasks == [3] * len(workers)  # one task per point
     assert table_hashes(out) == {"sweep.csv": SWEEP_SHA256["toy", "state.T"]}
