@@ -15,7 +15,6 @@ from .core import (
     SPECIES_PRESETS,
     UnitSystem,
     recoil_energy,
-    recoil_temperature,
 )
 from .errors import LatticeEprError
 from .scenario import Scenario, load_scenario, parse_scenario
@@ -30,7 +29,6 @@ __all__ = [
     "SPECIES_PRESETS",
     "UnitSystem",
     "recoil_energy",
-    "recoil_temperature",
     "LatticeEprError",
     "Scenario",
     "load_scenario",

@@ -29,7 +29,6 @@ from .errors import (
     NoPeakError,
     SingularityError,
 )
-from .lattice import WannierState
 
 __all__ = [
     "GAUSS_HWHM",
@@ -55,38 +54,6 @@ __all__ = [
 
 # HWHM of a unit-sigma Gaussian
 GAUSS_HWHM = math.sqrt(2.0 * math.log(2.0))
-
-
-# ---------------------------------------------------------------------------
-# orbitals
-
-def _orbital_sigma(orbital):
-    """Rms width of the single-site orbital density, units of a."""
-    if isinstance(orbital, WannierState):
-        dx, amp = orbital.displacement_profile()
-        dens = amp**2
-        dens = dens / dens.sum()
-        return float(np.sqrt(np.sum(dens * dx**2)))
-    return float(orbital)
-
-
-def _orbital_amplitude(orbital, dx):
-    """Real-space orbital amplitude at displacement dx from its center."""
-    if isinstance(orbital, WannierState):
-        grid, amp = orbital.displacement_profile()
-        return np.interp(dx, grid, amp, left=0.0, right=0.0)
-    sigma = float(orbital)
-    return (2.0 * math.pi * sigma**2) ** -0.25 * np.exp(-(dx**2) / (4.0 * sigma**2))
-
-
-def _orbital_momentum_amplitude(orbital, p):
-    """Fourier transform of the orbital amplitude at momentum p (hbar/a)."""
-    if isinstance(orbital, WannierState):
-        grid, amp = orbital.displacement_profile()
-        step = float(grid[1] - grid[0])
-        return (np.exp(-1j * np.outer(p, grid)) @ amp * step).real
-    sigma = float(orbital)
-    return (8.0 * math.pi * sigma**2) ** 0.25 * np.exp(-(sigma**2) * p**2)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +105,8 @@ _POSITION_BLOCK_ROWS = 256
 _POSITION_TILE_COLS = 256
 
 
-def _position_block(w, members, out, lo, hi):
-    """Weighted sum over members of |w[lo:hi] c w^T|^2 into out[lo:hi].
+def _position_block(w, weights, amplitudes, out, lo, hi):
+    """Weighted sum over the ensemble of |w[lo:hi] c w^T|^2 into out[lo:hi].
 
     Both products contract only over the sites, in ascending order, where
     both factors have a non-zero column; the second one does so per tile of
@@ -158,7 +125,7 @@ def _position_block(w, members, out, lo, hi):
     rows = rows[:, sites]
     starts = range(0, len(w), _POSITION_TILE_COLS)
     tile_nonzero = np.array([w[t : t + _POSITION_TILE_COLS].any(axis=0) for t in starts])
-    for weight, c in members:
+    for weight, c in zip(weights, amplitudes):
         left = rows @ c[sites]
         both = left.any(axis=0) & tile_nonzero
         if both.all():
@@ -182,6 +149,7 @@ def joint_position_density(
 ) -> DistributionGrid:
     """P(x1, x2) = |sum_jl c_jl w(x1 - j) w(x2 - l)|^2 on the periodic box.
 
+    ``orbital`` is a lattice.WannierState or lattice.GaussianOrbital.
     Ensemble states are weight-averaged.  The grid is evaluated in blocks of
     rows whose bounds depend only on the grid size, on up to ``jobs``
     threads; the result does not depend on ``jobs``.  Raises GridError when
@@ -189,7 +157,7 @@ def joint_position_density(
     """
     n = state.n_sites
     step = 1.0 / samples_per_site
-    sigma = _orbital_sigma(orbital)
+    sigma = orbital.sigma
     if step > sigma / 4.0:
         raise GridError(
             f"grid step {step:.4f} a coarser than orbital sigma/4 = {sigma / 4.0:.4f} a"
@@ -197,11 +165,11 @@ def joint_position_density(
     x = np.arange(n * samples_per_site) * step
     sites = np.arange(n, dtype=float)
     dx = (x[:, None] - sites[None, :] + n / 2.0) % n - n / 2.0
-    w = _orbital_amplitude(orbital, dx)           # (G, N)
+    w = orbital.at(dx)                            # (G, N)
     g = len(x)
     bounds = np.linspace(0, g, -(-g // _POSITION_BLOCK_ROWS) + 1).astype(int)
     dens = np.empty((g, g))
-    block = functools.partial(_position_block, w, state.members, dens)
+    block = functools.partial(_position_block, w, state.weights, state.amplitudes, dens)
     with ThreadPoolExecutor(max_workers=min(jobs, len(bounds) - 1)) as pool:
         list(pool.map(block, bounds[:-1], bounds[1:]))  # re-raises failures
     dens /= dens.sum() * step * step
@@ -215,7 +183,7 @@ def joint_momentum_density(
 
     The grid is commensurate with both the Brillouin comb (spacing 2 pi) and
     the box resolution (spacing 2 pi / N); a custom ``p_grid`` must keep
-    that commensurability.
+    that commensurability.  ``orbital`` is as in joint_position_density.
     """
     n = state.n_sites
     base = 2.0 * np.pi / n
@@ -227,10 +195,10 @@ def joint_momentum_density(
         ratio = p / base
         if np.max(np.abs(ratio - np.round(ratio))) > 1e-9:
             raise GridError("momentum grid must consist of multiples of 2 pi/(N a)")
-    wt = _orbital_momentum_amplitude(orbital, p)  # (G,)
+    wt = orbital.momentum_at(p)                   # (G,)
     phase = np.exp(-1j * np.outer(p, np.arange(n)))  # (G, N)
     dens = np.zeros((len(p), len(p)))
-    for weight, c in state.members:
+    for weight, c in zip(state.weights, state.amplitudes):
         s_mat = phase @ c @ phase.T
         psi = wt[:, None] * wt[None, :] * s_mat
         dens += weight * np.abs(psi) ** 2

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 
-from . import __version__, analysis, pipeline
+from . import __version__, analysis, lattice, pipeline
 from .errors import LatticeEprError
 from .scenario import Scenario, load_scenario, parse_scenario
 
@@ -329,8 +329,9 @@ def _cmd_diatom(sc: Scenario, writer: _Writer, args):
 def _cmd_distributions(sc: Scenario, writer: _Writer, args):
     model = pipeline.Model(sc)
     state = model.state
+    if state.regime_warning:
+        print(f"warning: {state.regime_warning}", file=sys.stderr)
     orbital = model.wannier0
-    sigma = model.width.sigma
     jobs = _jobs(args)
 
     pos = analysis.joint_position_density(
@@ -341,7 +342,7 @@ def _cmd_distributions(sc: Scenario, writer: _Writer, args):
     slice_w = analysis.conditional_density(pos, axis=1, value=float(j0))
     del pos  # never hold both full position grids
     pos_g = analysis.joint_position_density(
-        state, sigma, sc.samples_per_site, jobs=jobs
+        state, lattice.GaussianOrbital(model.width.sigma), sc.samples_per_site, jobs=jobs
     )
     slice_g = analysis.conditional_density(pos_g, axis=1, value=float(j0))
     writer.table(

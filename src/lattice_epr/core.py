@@ -27,7 +27,6 @@ __all__ = [
     "UnitSystem",
     "LightShiftResult",
     "recoil_energy",
-    "recoil_temperature",
     "dipole_moment_sq_from_linewidth",
     "saturation_intensity",
     "lattice_depth_from_laser",
@@ -65,10 +64,6 @@ class AtomSpecies:
     def omega_coupling(self):
         """Angular frequency of the coupling transition, 2 pi c / lambda_C."""
         return 2.0 * math.pi * C_LIGHT / self.lambda_coupling
-
-    @property
-    def omega_lattice(self):
-        return 2.0 * math.pi * C_LIGHT / self.lambda_lattice
 
 
 @dataclass(frozen=True)
@@ -117,11 +112,6 @@ def recoil_energy(mass, lambda_lattice):
     if mass <= 0 or lambda_lattice <= 0:
         raise DomainError("mass and wavelength must be positive")
     return 2.0 * math.pi**2 * HBAR**2 / (mass * lambda_lattice**2)
-
-
-def recoil_temperature(mass, lambda_lattice):
-    """Recoil energy expressed as a temperature E_rec / k_B, in kelvin."""
-    return recoil_energy(mass, lambda_lattice) / K_B
 
 
 def dipole_moment_sq_from_linewidth(gamma, omega_a):
@@ -179,12 +169,8 @@ class UnitSystem:
         self.lambda_lattice = lambda_lattice or species.lambda_lattice
         self.a = self.lambda_lattice / 2.0
         self.e_rec = recoil_energy(species.mass, self.lambda_lattice)
-        self.p_unit = HBAR / self.a
 
     # energies
-    def energy_to_si(self, e):
-        return e * self.e_rec
-
     def energy_from_si(self, e_si):
         return e_si / self.e_rec
 
@@ -194,13 +180,6 @@ class UnitSystem:
 
     def length_from_si(self, x_si):
         return x_si / self.a
-
-    # momenta
-    def momentum_to_si(self, p):
-        return p * self.p_unit
-
-    def momentum_from_si(self, p_si):
-        return p_si / self.p_unit
 
     # temperatures: internal value is k_B T / E_rec
     def temperature_to_si(self, t):

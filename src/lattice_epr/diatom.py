@@ -18,7 +18,7 @@ The brute-force N^2 x N^2 diagonalization is kept as the small-N oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -135,42 +135,32 @@ def dense_spectrum(h: TwoAtomHamiltonian) -> np.ndarray:
 class TwoAtomState:
     """Pure state or Boltzmann ensemble of two-atom amplitude matrices.
 
-    ``members`` is a list of (weight, c) with c the N x N amplitude matrix
-    over site pairs; weights sum to 1 and each member is normalized.
+    ``amplitudes[m]`` is the N x N amplitude matrix over site pairs of
+    member m and ``weights[m]`` its weight; weights sum to 1 and each member
+    is normalized.  ``regime_warning`` says why the ensemble is outside the
+    regime the model describes, when it is.
     """
 
-    n_sites: int
-    members: list
+    weights: np.ndarray          # (M,)
+    amplitudes: np.ndarray       # (M, N, N), complex
     temperature: float | None = None
     sigma_e: float | None = None
     bound_occupancy: float | None = None
-    meta: dict = field(default_factory=dict)
+    regime_warning: str | None = None
 
     def __post_init__(self):
-        total = sum(w for w, _ in self.members)
-        if abs(total - 1.0) > 1e-10:
+        # written so that NaN fails the checks
+        total = float(np.sum(self.weights))
+        if not abs(total - 1.0) <= 1e-10:
             raise DomainError(f"ensemble weights sum to {total}, expected 1")
-        for _, c in self.members:
-            nrm = np.sum(np.abs(c) ** 2)
-            if abs(nrm - 1.0) > 1e-10:
-                raise DomainError(f"member norm {nrm} differs from 1")
+        norms = np.sum(np.abs(self.amplitudes) ** 2, axis=(1, 2))
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-10))
+        if len(bad):
+            raise DomainError(f"member norm {norms[bad[0]]} differs from 1")
 
     @property
-    def is_pure(self):
-        return len(self.members) == 1
-
-    @property
-    def amplitude(self):
-        if not self.is_pure:
-            raise DomainError("amplitude matrix only defined for pure states")
-        return self.members[0][1]
-
-    def diagonal_weight(self) -> float:
-        """Ensemble-averaged weight on the same-site diagonal j = l."""
-        out = 0.0
-        for w, c in self.members:
-            out += w * float(np.sum(np.abs(np.diag(c)) ** 2))
-        return out
+    def n_sites(self):
+        return self.amplitudes.shape[-1]
 
     def sum_momentum_distribution(self):
         """Distribution of the folded sum momentum p1 + p2.
@@ -179,26 +169,34 @@ class TwoAtomState:
         folded into (-pi, pi].  Returns (p_plus, probabilities).
         """
         n = self.n_sites
-        probs = np.zeros(n)
-        for w, c in self.members:
-            f = np.fft.fft2(c)
-            p2 = np.abs(f) ** 2
-            p2 /= p2.sum()
-            m1, m2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-            np.add.at(probs, ((m1 + m2) % n).ravel(), w * p2.ravel())
+        p2 = np.abs(np.fft.fft2(self.amplitudes)) ** 2
+        p2 /= p2.sum(axis=(1, 2), keepdims=True)
+        p2 *= self.weights[:, None, None]
         m = np.arange(n)
+        folded = (m[:, None] + m[None, :]) % n
+        # bincount adds in input order: each bin sums its terms member by member
+        probs = np.bincount(np.tile(folded.ravel(), len(p2)), weights=p2.ravel(), minlength=n)
         m_wrapped = np.where(m >= (n + 1) // 2, m - n, m)
         p_plus = 2.0 * np.pi * m_wrapped / n
         order = np.argsort(p_plus)
         return p_plus[order], probs[order]
 
 
+def _bloch_amplitudes(thetas, g):
+    """c[m, j, l] = exp(i thetas[m] j) g[m, l - j] / sqrt(N), one matrix per
+    center-of-mass phase."""
+    n = g.shape[-1]
+    j = np.arange(n)
+    rel = (j[None, :] - j[:, None]) % n
+    return np.exp(1j * thetas[:, None] * j)[:, :, None] * g[:, rel] / math.sqrt(n)
+
+
 def ground_state(h: TwoAtomHamiltonian) -> TwoAtomState:
-    """Lowest eigenstate (center-of-mass phase 0) of the two-atom model."""
+    """Lowest eigenstate (center-of-mass phase 0) of the two-atom model, the
+    zero-temperature ensemble, once the bound pair is checked to fit the box."""
     n = h.n_sites
-    thetas, energies, ground = h.blocks
-    i0 = int(np.argmin(np.abs(thetas)))
-    g = ground[i0]
+    thetas, _, ground = h.blocks
+    g = ground[int(np.argmin(np.abs(thetas)))]
     d = np.arange(n)
     d_wrapped = np.minimum(d, n - d)
     width = math.sqrt(float(np.sum(np.abs(g) ** 2 * d_wrapped.astype(float) ** 2)))
@@ -206,21 +204,7 @@ def ground_state(h: TwoAtomHamiltonian) -> TwoAtomState:
         raise SizeError(
             f"bound-state width {width:.1f} sites exceeds N/4; increase N"
         )
-    c = _bloch_matrix_from_relative(n, 0.0, g)
-    return TwoAtomState(
-        n_sites=n,
-        members=[(1.0, c)],
-        temperature=0.0,
-        meta={"energy": float(energies[i0, 0])},
-    )
-
-
-def _bloch_matrix_from_relative(n, theta, g):
-    """c_jl = exp(i theta j) g(l - j) / sqrt(N)."""
-    j = np.arange(n)
-    rel = (j[None, :] - j[:, None]) % n
-    c = np.exp(1j * theta * j)[:, None] * g[rel] / math.sqrt(n)
-    return c
+    return thermal_diatom_state(h, 0.0)
 
 
 @dataclass
@@ -300,16 +284,12 @@ def envelope_state(n_sites: int, sigma_e: float, j0: int | None = None) -> TwoAt
         raise DomainError("envelope width must be positive")
     if j0 is None:
         j0 = n_sites // 2
-    if math.isinf(sigma_e):
-        amp = np.full(n_sites, 1.0 / math.sqrt(n_sites))
-        c = np.diag(amp).astype(complex)
-        return TwoAtomState(n_sites=n_sites, members=[(1.0, c)], sigma_e=sigma_e)
-    if 3.0 * sigma_e >= n_sites / 2.0:
+    if not math.isinf(sigma_e) and 3.0 * sigma_e >= n_sites / 2.0:
         raise SizeError("envelope clipped by the periodic boundary (3 sigma_E >= N a / 2)")
-    amp = _envelope(n_sites, sigma_e, j0, np.arange(n_sites, dtype=float))
+    amp = _envelope(n_sites, sigma_e, j0, np.arange(n_sites, dtype=float))  # all 1 at inf
     amp /= math.sqrt(float(np.sum(amp**2)))
     c = np.diag(amp).astype(complex)
-    return TwoAtomState(n_sites=n_sites, members=[(1.0, c)], sigma_e=sigma_e)
+    return TwoAtomState(weights=np.ones(1), amplitudes=c[None], sigma_e=sigma_e)
 
 
 def thermal_diatom_state(
@@ -335,8 +315,9 @@ def thermal_diatom_state(
     thetas, energies, ground = h.blocks
     e0 = energies[:, 0]
     if temperature == 0.0:
-        sel = [int(np.argmin(np.abs(thetas)))]
-        weights = np.array([1.0])
+        i0 = int(np.argmin(np.abs(thetas)))
+        sel = slice(i0, i0 + 1)
+        weights = np.ones(1)
         occupancy = 1.0
     else:
         beta = 1.0 / temperature
@@ -346,28 +327,23 @@ def thermal_diatom_state(
         occupancy = z_bound / z_all
         weights = np.exp(-beta * (e0 - e0.min()))
         weights /= weights.sum()
-        sel = list(range(n))
-    j = np.arange(n, dtype=float)
-    com = (j[:, None] + j[None, :]) / 2.0
-    env = _envelope(n, sigma_e, j0, com) if sigma_e is not None else None
-    members = []
-    for i, idx in enumerate(sel):
-        c = _bloch_matrix_from_relative(n, thetas[idx], ground[idx])
-        if env is not None:
-            c = c * env
-            c = c / math.sqrt(float(np.sum(np.abs(c) ** 2)))
-        members.append((float(weights[i]), c))
-    state = TwoAtomState(
-        n_sites=n,
-        members=members,
-        temperature=temperature,
-        sigma_e=sigma_e,
-        bound_occupancy=occupancy,
-        meta={"thetas": thetas[sel], "weights": weights.copy()},
-    )
+        sel = slice(None)
+    amplitudes = _bloch_amplitudes(thetas[sel], ground[sel])
+    if sigma_e is not None:
+        j = np.arange(n, dtype=float)
+        amplitudes *= _envelope(n, sigma_e, j0, (j[:, None] + j[None, :]) / 2.0)
+        amplitudes /= np.sqrt(np.sum(np.abs(amplitudes) ** 2, axis=(1, 2)))[:, None, None]
+    warning = None
     if occupancy < 0.9:
-        state.meta["regime_warning"] = (
+        warning = (
             f"bound-branch occupancy {occupancy:.3f} < 0.9: temperature too "
             "high for a pure diatom ensemble"
         )
-    return state
+    return TwoAtomState(
+        weights=weights,
+        amplitudes=amplitudes,
+        temperature=temperature,
+        sigma_e=sigma_e,
+        bound_occupancy=occupancy,
+        regime_warning=warning,
+    )

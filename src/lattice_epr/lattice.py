@@ -23,6 +23,7 @@ __all__ = [
     "LatticeConfig",
     "BlochSpectrum",
     "WannierState",
+    "GaussianOrbital",
     "HoppingResult",
     "HoppingEstimate",
     "WannierWidth",
@@ -225,6 +226,46 @@ class WannierState:
         amp = np.roll(self.amplitude, -shift)
         dxg = (np.arange(n_grid) - n_grid // 2) * self.dx
         return dxg, amp
+
+    @property
+    def sigma(self):
+        """Rms width of the orbital density, units of a."""
+        dx, amp = self.displacement_profile()
+        dens = amp**2
+        dens = dens / dens.sum()
+        return float(np.sqrt(np.sum(dens * dx**2)))
+
+    def at(self, dx):
+        """Amplitude at displacement dx from the center, interpolated
+        linearly on the grid and 0 beyond it."""
+        grid, amp = self.displacement_profile()
+        return np.interp(dx, grid, amp, left=0.0, right=0.0)
+
+    def momentum_at(self, p):
+        """Fourier transform sum_x exp(-i p x) amplitude(x) dx of the
+        centered orbital at momenta p (hbar/a)."""
+        grid, amp = self.displacement_profile()
+        step = float(grid[1] - grid[0])
+        return (np.exp(-1j * np.outer(p, grid)) @ amp * step).real
+
+
+@dataclass(frozen=True)
+class GaussianOrbital:
+    """Gaussian single-site orbital whose density has rms width ``sigma``
+    (units of a); the harmonic-well model of the Wannier orbital."""
+
+    sigma: float
+
+    def at(self, dx):
+        """Amplitude at displacement dx from the center."""
+        sigma = self.sigma
+        return (2.0 * math.pi * sigma**2) ** -0.25 * np.exp(-(dx**2) / (4.0 * sigma**2))
+
+    def momentum_at(self, p):
+        """Fourier transform of the amplitude at momenta p (hbar/a), in the
+        convention of WannierState.momentum_at."""
+        sigma = self.sigma
+        return (8.0 * math.pi * sigma**2) ** 0.25 * np.exp(-(sigma**2) * p**2)
 
 
 def wannier(spectrum: BlochSpectrum, site: int = 0) -> WannierState:

@@ -323,6 +323,8 @@ def parse_scenario(text: str) -> Scenario:
     if state_mode not in ("ground", "envelope", "thermal"):
         raise ScenarioError(f"unknown state mode {state_mode!r}")
     sigma_e = conv.resolve(st["sigma_E"], "length_internal") if "sigma_E" in st else None
+    if sigma_e is not None and sigma_e <= 0:
+        raise ScenarioError(f"sigma_E must be positive, got {st['sigma_E'].strip()!r}")
     temperature = (
         conv.resolve(st["T"], "temperature_internal") if "T" in st else 0.0
     )
@@ -371,6 +373,8 @@ def parse_scenario(text: str) -> Scenario:
         ]
         if not values:
             raise ScenarioError("sweep values list is empty")
+        if path == "state.sigma_E" and min(values) <= 0:
+            raise ScenarioError("sweep values of state.sigma_E must be positive")
         sweep = (path, values)
 
     return Scenario(

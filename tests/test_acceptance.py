@@ -140,8 +140,8 @@ def test_fourier_consistency(li_ground_32, li_wannier):
     x = np.arange(n * 32) * step
     sites = np.arange(n, dtype=float)
     dx = (x[:, None] - sites[None, :] + n / 2.0) % n - n / 2.0
-    w = analysis._orbital_amplitude(li_wannier, dx)
-    psi = w @ li_ground_32.amplitude @ w.T
+    w = li_wannier.at(dx)
+    psi = w @ li_ground_32.amplitudes[0] @ w.T
     mom = analysis.joint_momentum_density(li_ground_32, li_wannier, zones=2)
     p = mom.axis1
     ft = np.exp(-1j * np.outer(p, x)) * step

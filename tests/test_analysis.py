@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_epr import analysis, diatom
+from lattice_epr import analysis, diatom, lattice
 from lattice_epr.errors import (
     ConditioningError,
     DomainError,
@@ -30,7 +30,7 @@ def test_position_density_normalizes(small_ground, li_wannier):
 
 
 def test_position_density_gaussian_orbital(small_ground):
-    grid = analysis.joint_position_density(small_ground, 0.136, 32)
+    grid = analysis.joint_position_density(small_ground, lattice.GaussianOrbital(0.136), 32)
     assert grid.total() == pytest.approx(1.0, abs=1e-6)
 
 
@@ -41,9 +41,9 @@ def _position_density_unblocked(state, orbital, samples_per_site):
     x = np.arange(n * samples_per_site) * step
     sites = np.arange(n, dtype=float)
     dx = (x[:, None] - sites[None, :] + n / 2.0) % n - n / 2.0
-    w = analysis._orbital_amplitude(orbital, dx)
+    w = orbital.at(dx)
     dens = np.zeros((len(x), len(x)))
-    for weight, c in state.members:
+    for weight, c in zip(state.weights, state.amplitudes):
         dens += weight * np.abs(w @ c @ w.T) ** 2
     return dens / (dens.sum() * step * step)
 
@@ -53,7 +53,7 @@ def test_position_density_matches_unblocked_loop(li_hopping, li_wannier, jobs):
     # 20 sites x 32 samples: G = 640 rows, three row blocks of unequal size
     h = diatom.build_hamiltonian(20, li_hopping.v_hop, nearest_only_profile(-2.16))
     state = diatom.thermal_diatom_state(h, 0.01, sigma_e=2.0)
-    assert len(state.members) > 1
+    assert len(state.weights) > 1
     grid = analysis.joint_position_density(state, li_wannier, 32, jobs=jobs)
     ref = _position_density_unblocked(state, li_wannier, 32)
     np.testing.assert_allclose(grid.density, ref, rtol=1e-13, atol=0.0)
@@ -67,7 +67,7 @@ def _position_density_unskipped(state, orbital, samples_per_site):
     x = np.arange(n * samples_per_site) * step
     sites = np.arange(n, dtype=float)
     dx = (x[:, None] - sites[None, :] + n / 2.0) % n - n / 2.0
-    w = analysis._orbital_amplitude(orbital, dx)
+    w = orbital.at(dx)
     g = len(x)
     bounds = np.linspace(0, g, -(-g // analysis._POSITION_BLOCK_ROWS) + 1).astype(int)
     dens = np.empty((g, g))
@@ -75,7 +75,7 @@ def _position_density_unskipped(state, orbital, samples_per_site):
         acc = dens[lo:hi]
         acc[...] = 0.0
         buf = np.empty_like(acc)
-        for weight, c in state.members:
+        for weight, c in zip(state.weights, state.amplitudes):
             np.abs(w[lo:hi] @ c @ w.T, out=buf)
             np.square(buf, out=buf)
             buf *= weight
@@ -88,7 +88,7 @@ def _position_density_unskipped(state, orbital, samples_per_site):
 def test_position_density_skips_only_exact_zeros(li_hopping, li_wannier, orbital, jobs):
     h = diatom.build_hamiltonian(20, li_hopping.v_hop, nearest_only_profile(-2.16))
     state = diatom.thermal_diatom_state(h, 0.01, sigma_e=2.0)
-    orb = li_wannier if orbital == "wannier" else 0.136
+    orb = li_wannier if orbital == "wannier" else lattice.GaussianOrbital(0.136)
     ref, has_zeros = _position_density_unskipped(state, orb, 32)
     # the Gaussian orbital underflows to exact zeros beyond ~7 sites
     assert has_zeros == (orbital == "gaussian")
@@ -110,20 +110,20 @@ def test_position_block_leaves_tiles_without_common_sites_at_zero():
         0.0,
     )
     band = _ring_distance(np.arange(n), np.arange(n), n) <= 1
-    members = [
-        (weight, np.where(band, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 0))
-        for weight in (0.7, 0.3)
-    ]
+    weights = np.array([0.7, 0.3])
+    amplitudes = np.where(
+        band, rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n)), 0
+    )
     out = np.empty((g, g))
-    analysis._position_block(w, members, out, 256, 512)
-    ref = sum(weight * np.abs(w[256:512] @ c @ w.T) ** 2 for weight, c in members)
+    analysis._position_block(w, weights, amplitudes, out, 256, 512)
+    ref = sum(weight * np.abs(w[256:512] @ c @ w.T) ** 2 for weight, c in zip(weights, amplitudes))
     assert np.array_equal(out[256:512], ref)
     assert not out[256:512, 768:].any()  # sites 24..31 share no site with 8..15
 
 
 def test_position_density_grid_guard(small_ground):
     with pytest.raises(GridError):
-        analysis.joint_position_density(small_ground, 0.136, 8)
+        analysis.joint_position_density(small_ground, lattice.GaussianOrbital(0.136), 8)
 
 
 def test_momentum_density_normalizes(small_ground, li_wannier):
@@ -148,8 +148,8 @@ def test_momentum_matches_fourier_transform_of_position_amplitude(
     x = np.arange(n * 32) * step
     sites = np.arange(n, dtype=float)
     dx = (x[:, None] - sites[None, :] + n / 2.0) % n - n / 2.0
-    w = analysis._orbital_amplitude(li_wannier, dx)
-    psi = w @ small_ground.amplitude @ w.T
+    w = li_wannier.at(dx)
+    psi = w @ small_ground.amplitudes[0] @ w.T
     mom = analysis.joint_momentum_density(small_ground, li_wannier, zones=2)
     p = mom.axis1
     ft = np.exp(-1j * np.outer(p, x)) * step

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -373,3 +374,16 @@ def test_distributions_bytes_independent_of_blas_threads(toy16_scenario, tmp_pat
         outs.append(out)
     for name in DISTRIBUTION_TABLES:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("temperature, warned", [("10 nK", False), ("1 Erec", True)])
+def test_distributions_prints_the_regime_warning(temperature, warned, tmp_path, capsys):
+    path = tmp_path / "toy16.ini"
+    path.write_text(TOY16.replace("T = 10 nK", f"T = {temperature}"))
+    argv = ["distributions", "--scenario", str(path), "--out", str(tmp_path / "out"), "--jobs", "1"]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    if warned:
+        assert re.fullmatch(r"warning: bound-branch occupancy 0\.\d+ < 0\.9: .*\n", err)
+    else:
+        assert err == ""

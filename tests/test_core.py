@@ -15,13 +15,6 @@ def test_lithium_recoil_energy():
     assert e_rec == pytest.approx(1.806e-28, rel=1e-3)
 
 
-def test_lithium_recoil_temperature_microkelvin():
-    t_rec = core.recoil_temperature(
-        core.LITHIUM.mass, core.LITHIUM.lambda_lattice
-    )
-    assert t_rec == pytest.approx(13.08e-6, rel=1e-3)
-
-
 def test_recoil_energy_rejects_bad_input():
     with pytest.raises(DomainError):
         core.recoil_energy(0.0, 323e-9)
@@ -39,7 +32,6 @@ def test_species_validation():
 def test_species_transition_frequencies():
     sp = core.LITHIUM
     assert sp.omega_coupling == pytest.approx(2.0 * math.pi * 2.998e8 / 670.8e-9, rel=1e-3)
-    assert sp.omega_lattice > sp.omega_coupling
 
 
 def test_laser_config_validation():
@@ -84,7 +76,6 @@ def test_unit_system_scales():
     u = core.UnitSystem(core.LITHIUM)
     assert u.a == pytest.approx(161.5e-9)
     assert u.e_rec == pytest.approx(1.806e-28, rel=1e-3)
-    assert u.p_unit == pytest.approx(HBAR / 161.5e-9, rel=1e-6)
     # 10 nK in internal units
     assert u.temperature_from_si(10e-9) == pytest.approx(10e-9 * K_B / u.e_rec)
 
@@ -92,9 +83,7 @@ def test_unit_system_scales():
 @given(st.floats(min_value=1e-12, max_value=1e12))
 def test_unit_roundtrips(value):
     u = core.UnitSystem(core.LITHIUM)
-    assert u.energy_from_si(u.energy_to_si(value)) == pytest.approx(value, rel=1e-12)
     assert u.length_from_si(u.length_to_si(value)) == pytest.approx(value, rel=1e-12)
-    assert u.momentum_from_si(u.momentum_to_si(value)) == pytest.approx(value, rel=1e-12)
     assert u.temperature_from_si(u.temperature_to_si(value)) == pytest.approx(
         value, rel=1e-12
     )

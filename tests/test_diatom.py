@@ -46,13 +46,13 @@ def test_dense_oracle_size_limit(li_hopping, li_profile):
 
 def test_ground_state_structure(li_ground_32, li_hopping):
     gs = li_ground_32
-    assert gs.is_pure
-    c = gs.amplitude
+    assert len(gs.weights) == 1
+    c = gs.amplitudes[0]
     assert np.sum(np.abs(c) ** 2) == pytest.approx(1.0, abs=1e-10)
     # strongly bound: nearly all weight on the same-site diagonal, with the
     # off-diagonal remainder set by the two-path hop admixture
     r = li_hopping.v_hop / VDD_LI
-    off = 1.0 - gs.diagonal_weight()
+    off = 1.0 - float(np.sum(np.abs(np.diag(c)) ** 2))
     assert off == pytest.approx(8.0 * r**2, rel=0.2)
 
 
@@ -93,14 +93,14 @@ def test_effective_mass_relations(li_hopping):
 
 def test_envelope_state_uniform_limit():
     st = diatom.envelope_state(32, math.inf)
-    c = st.amplitude
+    c = st.amplitudes[0]
     assert np.allclose(np.diag(c), 1.0 / math.sqrt(32))
     assert np.sum(np.abs(c - np.diag(np.diag(c)))) == 0.0
 
 
 def test_envelope_state_width_and_guards():
     st = diatom.envelope_state(64, 4.0, j0=32)
-    amp = np.abs(np.diag(st.amplitude))
+    amp = np.abs(np.diag(st.amplitudes[0]))
     j = np.arange(64, dtype=float)
     mean = float(np.sum(amp**2 * j))
     var = float(np.sum(amp**2 * (j - mean) ** 2))
@@ -115,18 +115,18 @@ def test_envelope_state_width_and_guards():
 
 def test_thermal_state_weights_and_occupancy(li_diatom_32):
     st = diatom.thermal_diatom_state(li_diatom_32, 0.001)
-    assert sum(w for w, _ in st.members) == pytest.approx(1.0, abs=1e-10)
+    assert np.sum(st.weights) == pytest.approx(1.0, abs=1e-10)
     assert st.bound_occupancy > 0.999
-    assert "regime_warning" not in st.meta
+    assert st.regime_warning is None
     # zero temperature collapses to the single zone-center member
     st0 = diatom.thermal_diatom_state(li_diatom_32, 0.0)
-    assert st0.is_pure
+    assert len(st0.weights) == 1
 
 
 def test_thermal_state_flags_hot_ensemble(li_diatom_32):
     st = diatom.thermal_diatom_state(li_diatom_32, 1.0)
     assert st.bound_occupancy < 0.9
-    assert "regime_warning" in st.meta
+    assert "occupancy" in st.regime_warning
 
 
 def test_thermal_momentum_spread_grows_with_temperature(li_hopping, li_profile):
@@ -185,3 +185,15 @@ def test_bound_band_matches_closed_form(n, j, ratio):
     ring = ring_bound_band(n, j, v, band.thetas)
     assert np.max(np.abs(ring - infinite)) <= abs(v) * (2.0 * 0.24**n + 1e-15)
     assert np.max(np.abs(band.energies - ring)) <= 1e-10 * abs(v)
+
+
+def test_state_rejects_non_finite_weights_and_norms(li_diatom_32):
+    c = np.eye(4, dtype=complex)[None] / 2.0
+    diatom.TwoAtomState(weights=np.ones(1), amplitudes=c)
+    with pytest.raises(DomainError, match="weights"):
+        diatom.TwoAtomState(weights=np.array([np.nan]), amplitudes=c)
+    with pytest.raises(DomainError, match="norm"):
+        diatom.TwoAtomState(weights=np.full(2, 0.5), amplitudes=np.concatenate([c, c * np.nan]))
+    # a zero envelope width divides 0 by 0 on the diagonal
+    with pytest.raises(DomainError, match="norm"), np.errstate(divide="ignore", invalid="ignore"):
+        diatom.thermal_diatom_state(li_diatom_32, 0.001, sigma_e=0.0)

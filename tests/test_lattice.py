@@ -144,3 +144,24 @@ def test_effective_mass_estimates_converge_for_deep_lattice():
 def test_effective_mass_singularities():
     with pytest.raises(SingularityError):
         lattice.effective_mass_single(0.0)
+
+
+@pytest.mark.parametrize("kind", ["wannier", "gaussian"])
+def test_orbital_contract(kind, li_wannier):
+    """Both orbitals are normalized, ``sigma`` is the rms width of their
+    density, and ``momentum_at`` is sum_x exp(-i p x) at(x) dx on the
+    Wannier orbital's own grid."""
+    if kind == "wannier":
+        orbital = li_wannier
+    else:
+        orbital = lattice.GaussianOrbital(lattice.wannier_gaussian_width(7.42).sigma)
+    x, _ = li_wannier.displacement_profile()  # 32 samples per site, 32 sites
+    step = float(x[1] - x[0])
+    amp = orbital.at(x)
+    dens = amp**2
+    assert np.sum(dens) * step == pytest.approx(1.0, abs=1e-10)
+    assert orbital.sigma == pytest.approx(math.sqrt(np.sum(dens * x**2) * step), rel=1e-10)
+    p = 2.0 * np.pi / 32 * np.arange(-32, 33)
+    quadrature = np.exp(-1j * np.outer(p, x)) @ amp * step
+    momentum = orbital.momentum_at(p)
+    assert np.max(np.abs(momentum - quadrature)) <= 1e-10 * np.max(np.abs(momentum))

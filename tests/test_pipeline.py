@@ -11,10 +11,12 @@ from lattice_epr import cli, diatom, lattice, pipeline
 from lattice_epr.cli import _fmt, _sweep_point, main
 from lattice_epr.errors import DegenerateBandError, LatticeEprError, SingularityError
 from lattice_epr.scenario import LITHIUM_EXAMPLE, SWEEP_PARAMS, load_scenario, parse_scenario
-from test_cli import TOY
+from test_cli import TOY, TOY16
 
 SCENARIOS = {
     "toy": TOY,
+    "toy16": TOY16,
+    "toy16_envelope": TOY16.replace("mode = thermal", "mode = envelope"),
     "lithium": LITHIUM_EXAMPLE,
 }
 
@@ -78,6 +80,31 @@ TABLE_SHA256 = {
     },
     ("lithium", "sweep"): {
         "sweep.csv": "ef8571ec47c965796be168c71bc0f6335896f511059e0cbe2664ef7a45d66c24",
+    },
+    # the distributions tables, recorded before the pair state became arrays
+    ("toy", "distributions"): {
+        "momentum_joint.csv": "edcb951e84571798f79e4d900574cf3b8bde172addbfc76df719d312420fe7d7",
+        "momentum_marginal.csv": "2c8c8a8cce372dad9f390a6c5a5bfa93a09797834bf9783940283e53ee3df038",
+        "momentum_slice.csv": "b2459c2bc02f1eb7777d998f3ba41fc9f3e257fe28e2433f36bb99f0f3290d04",
+        "position_joint.csv": "eb4915973c820de721c49956e7674588a645f6dc1543227a51cf383768d7ca67",
+        "position_slice.csv": "f8ba229a7a89a78e704ddc0ee0648fcddbd57ded656bf154b2c403a109d9a37c",
+        "sum_momentum.csv": "62a3ea9a7fb32b6060c144f3d3f397105e0edc3dc7af9b7ef231acbb1d0f3883",
+    },
+    ("toy16", "distributions"): {
+        "momentum_joint.csv": "d1eb41d0e170b25549d90eef17ddc4e2e1a98bab571cab9098cd1492deae91a2",
+        "momentum_marginal.csv": "5ac6dd40b56fdaf87ce01646ffc6423d11e414d147350a668fccf24a078eede4",
+        "momentum_slice.csv": "d5a21c054deff720c6a68556c6a017730bcb450c78482b39f5c66bae98343d87",
+        "position_joint.csv": "a817b40000ebeed314634566589b87ad31cbe8747bd2798d9dc566708f0e0870",
+        "position_slice.csv": "36d373910003d43269d9b9b2cb1cb2eecad66198b34cd4df81d4c77802dcba5b",
+        "sum_momentum.csv": "49be606d613bf8102af104cedc35c5ecc5941c63f10dd26c7bde16c58a1030ce",
+    },
+    ("toy16_envelope", "distributions"): {
+        "momentum_joint.csv": "50eb4a6a93f851bfaaf1a423d4feafbd6c7109cace4915879eb26c44770f3782",
+        "momentum_marginal.csv": "dcbfe02ebfefe4989d24157f3a92e0318550f740905607dc65f11a3040edcf63",
+        "momentum_slice.csv": "0865f8bd9ecfb82149ab94b4965c349848fb9b165d52507ce1fc46743129b606",
+        "position_joint.csv": "e7b9e34048b02aae3415ce26eca914cc4edac27b84f92b3f1c923a891f57b271",
+        "position_slice.csv": "cee92bba4321a54bd4f8403e1f54c0fb7ceab2af982900ef0958ed600fcb9a8c",
+        "sum_momentum.csv": "a24b579f0f844e3b6ba4b0a1c5ecb70c518e581f854b57f2a281fefbccdec49a",
     },
 }
 

@@ -229,3 +229,24 @@ def test_parse_scenario_raises_only_scenario_error(span, value):
         scenario.parse_scenario(text)
     except ScenarioError:
         pass
+
+
+@pytest.mark.parametrize("mode", ["thermal", "envelope"])
+@pytest.mark.parametrize("sigma_e", ["0 a", "-2 a"])
+def test_non_positive_sigma_e_rejected(mode, sigma_e, tmp_path, capsys):
+    text = MINIMAL + f"\n[state]\nmode = {mode}\nT = 10 nK\nsigma_E = {sigma_e}\n"
+    with pytest.raises(ScenarioError, match="sigma_E"):
+        make(text)
+    path = tmp_path / "sigma.ini"
+    path.write_text(text)
+    rc = main(["distributions", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sigma_E" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0 a", "-2 a"])
+def test_non_positive_sigma_e_sweep_value_rejected(value):
+    with pytest.raises(ScenarioError, match="sigma_E"):
+        make(MINIMAL + f"\n[sweep]\nparameter = state.sigma_E\nvalues = 4 a, {value}\n")
