@@ -156,4 +156,6 @@ def coupling_for_nearest_value(v_dd0, lambda_c, displacement, a):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         base = interaction_profile(unit, a, dj_max=1).value(0)
+    if base == 0 or not math.isfinite(base):
+        raise SingularityError(f"nearest-site kernel is {base} at this tube displacement")
     return v_dd0 / base

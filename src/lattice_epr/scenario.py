@@ -2,9 +2,11 @@
 
 Grammar: ``[section]`` headers with ``key = value`` lines; every physical
 number carries a unit suffix (``323 nm``, ``0.35 W/cm^2``, ``10 nK``,
-``7.42 Erec``, ``6 a``, ``50 gamma_L``).  Unknown sections or keys are
-rejected.  All quantities are converted to the internal unit system
-(E_rec, a, hbar/a) on load.
+``7.42 Erec``, ``6 a``, ``50 gamma_L``).  One table, ``_KEYS``, lists every
+key with its field, unit kind, default and rule; unknown sections or keys
+are rejected.  All quantities are converted to the internal unit system
+(E_rec, a, hbar/a) on load, and every malformed or out-of-range input
+raises ScenarioError.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .core import AtomSpecies, LaserConfig, SPECIES_PRESETS, UnitSystem
-from .errors import ScenarioError
+from .core import AtomSpecies, LaserConfig, SPECIES_PRESETS, UnitSystem, lattice_depth_from_laser
+from .errors import DomainError, ScenarioError
 
 __all__ = ["Scenario", "parse_scenario", "load_scenario", "BUILTIN_SCENARIOS", "SWEEP_PARAMS"]
 
@@ -52,45 +54,121 @@ _UNITS = {
     "": ("dimensionless", 1.0),
 }
 
-_SECTION_KEYS = {
-    "species": {"preset", "name", "mass", "lambda_L", "gamma_L", "lambda_C", "gamma_C"},
-    "lattice": {"lambda_L", "U0", "intensity", "detuning", "sites", "cutoff"},
+
+def _same(x, units):
+    return x
+
+
+# (expected kind, unit dimension) -> conversion of the number times its unit
+# factor, given the scenario's unit system (None for the species keys)
+_CONVERSIONS = {
+    ("wavelength", "length_si"): _same,
+    ("mass", "dimensionless"): _same,  # kg, unit not written
+    ("linewidth", "rate_si"): _same,
+    ("linewidth", "dimensionless"): _same,  # s^-1, unit not written
+    ("length_si", "length_si"): _same,
+    ("length_si", "length_internal"): lambda x, units: units.length_to_si(x),
+    ("length_internal", "length_internal"): _same,
+    ("length_internal", "length_si"): lambda x, units: units.length_from_si(x),
+    ("energy_internal", "energy_internal"): _same,
+    ("energy_internal", "energy_si"): lambda x, units: units.energy_from_si(x),
+    ("temperature_internal", "temperature_si"): lambda x, units: units.temperature_from_si(x),
+    ("temperature_internal", "energy_internal"): _same,
+    ("rate_si", "rate_si"): _same,
+    ("rate_si", "linewidth_lattice"): lambda x, units: x * units.species.gamma_lattice,
+    ("rate_si", "linewidth_coupling"): lambda x, units: x * units.species.gamma_coupling,
+    ("intensity_si", "intensity_si"): _same,
+    ("momentum_internal", "momentum_internal"): _same,
+}
+
+_BOOLS = {"yes": True, "true": True, "on": True, "1": True,
+          "no": False, "false": False, "off": False, "0": False}
+
+# rules: (predicate, what a value must be)
+_POSITIVE = (lambda x: x > 0, "positive")
+_NON_NEGATIVE = (lambda x: x >= 0, "non-negative")
+_NONZERO = (lambda x: x != 0, "non-zero")
+
+
+def _at_least(n):
+    return (lambda x: x >= n, f"at least {n}")
+
+
+def _one_of(*names):
+    return (lambda x: x in names, "one of " + ", ".join(names))
+
+
+_SWEEP_PATHS = ("state.T", "state.sigma_E", "lattice.U0", "coupling.V_dd")
+
+# [section] key -> (field, unit kind, default, rule).  This table is the
+# whole grammar: a key not in it is rejected, an absent key takes its
+# default text, and a key without a default reads as None.  A kind in a
+# list is a comma-separated list of values of that kind.
+_KEYS = {
+    "species": {
+        "preset": ("preset", "text", None, _one_of(*SPECIES_PRESETS)),
+        "name": ("name", "text", "custom", None),
+        "mass": ("mass", "mass", None, _POSITIVE),
+        "lambda_L": ("lambda_lattice", "wavelength", None, _POSITIVE),
+        "gamma_L": ("gamma_lattice", "linewidth", None, _POSITIVE),
+        "lambda_C": ("lambda_coupling", "wavelength", None, _POSITIVE),
+        "gamma_C": ("gamma_coupling", "linewidth", None, _POSITIVE),
+    },
+    "lattice": {
+        "lambda_L": ("lambda_lattice", "wavelength", None, _POSITIVE),
+        "U0": ("u0", "energy_internal", None, _NON_NEGATIVE),
+        "intensity": ("lattice_intensity", "intensity_si", None, _NON_NEGATIVE),
+        "detuning": ("lattice_detuning", "rate_si", None, _NONZERO),
+        "sites": ("n_sites", "int", "32", _at_least(8)),
+        "cutoff": ("cutoff", "int", "16", _at_least(8)),
+    },
     "coupling": {
-        "lambda_C",
-        "displacement",
-        "V_dd",
-        "intensity",
-        "detuning",
-        "dj_max",
-        "include_offsite",
+        "lambda_C": ("lambda_coupling", "length_si", None, _POSITIVE),
+        "displacement": ("displacement", "length_si", None, _POSITIVE),
+        "V_dd": ("v_dd", "energy_internal", None, (lambda x: x < 0, "negative (attractive)")),
+        "intensity": ("coupling_intensity", "intensity_si", None, _NON_NEGATIVE),
+        "detuning": ("coupling_detuning", "rate_si", None, _NONZERO),
+        "dj_max": ("dj_max", "int", "4", _at_least(1)),
+        "include_offsite": ("include_offsite", "bool", "yes", None),
     },
-    "state": {"mode", "sigma_E", "T", "j0"},
+    "state": {
+        "mode": ("state_mode", "text", "ground", _one_of("ground", "envelope", "thermal")),
+        "sigma_E": ("sigma_e", "length_internal", None, _POSITIVE),
+        "T": ("temperature", "temperature_internal", "0 K", _NON_NEGATIVE),
+        "j0": ("j0", "int", None, None),
+    },
     "analysis": {
-        "samples_per_site",
-        "momentum_zones",
-        "p1_measured",
-        "optimizer_min",
-        "optimizer_max",
-        "optimizer_temperatures",
+        "samples_per_site": ("samples_per_site", "int", "32", _at_least(4)),
+        "momentum_zones": ("momentum_zones", "int", "2", _at_least(1)),
+        "p1_measured": ("p1_measured", "momentum_internal", "0.4 BZ", None),
+        "optimizer_min": ("optimizer_lo", "length_internal", "1 a", None),
+        "optimizer_max": ("optimizer_hi", "length_internal", "30 a", None),
+        "optimizer_temperatures": (
+            "optimizer_temperatures", ["temperature_internal"], None, _NON_NEGATIVE
+        ),
     },
-    "sweep": {"parameter", "values"},
+    "sweep": {
+        "parameter": ("sweep_path", "text", None, _one_of(*_SWEEP_PATHS)),
+        "values": ("sweep_values", "text", None, None),
+    },
 }
 
 # sweepable parameter path -> (Scenario field, unit kind of its values)
 SWEEP_PARAMS = {
-    "state.T": ("temperature", "temperature_internal"),
-    "state.sigma_E": ("sigma_e", "length_internal"),
-    "lattice.U0": ("u0", "energy_internal"),
-    "coupling.V_dd": ("v_dd", "energy_internal"),
+    path: _KEYS[section][key][:2]
+    for path in _SWEEP_PATHS
+    for section, key in [path.split(".")]
 }
 
 
 def parse_quantity(text):
-    """Split '323 nm' into (323.0, 'nm'); validate the unit token."""
+    """Split '323 nm' into (323.0, 'nm'); validate the number and the unit token."""
     m = _QUANTITY_RE.match(text)
     if not m:
         raise ScenarioError(f"cannot parse quantity {text!r}")
     value = float(m.group(1))
+    if not math.isfinite(value):
+        raise ScenarioError(f"number out of range in {text!r}")
     unit = m.group(2)
     if unit not in _UNITS:
         raise ScenarioError(f"unknown unit {unit!r} in {text!r}")
@@ -139,74 +217,91 @@ class Scenario:
         return dataclasses.replace(self, **{SWEEP_PARAMS[path][0]: value})
 
 
-class _Converter:
-    """Resolves parsed quantities to internal units for one scenario."""
+def _check(label, value, rule, shown):
+    """``value`` if it is finite and passes ``rule``; else a ScenarioError."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioError(f"{label} = {shown!r} is out of range")
+    if rule is not None and not rule[0](value):
+        raise ScenarioError(f"{label} must be {rule[1]}, got {shown!r}")
+    return value
 
-    def __init__(self, species: AtomSpecies, units: UnitSystem):
-        self.species = species
-        self.units = units
 
-    def resolve(self, text, expected):
-        value, unit = parse_quantity(text)
+def _resolve(label, text, kind, rule, units=None):
+    """One value of the unit kind ``kind``, in internal units and checked."""
+    if isinstance(kind, list):
+        parts = [part.strip() for part in text.split(",")]
+        return [_resolve(label, part, kind[0], rule, units) for part in parts if part]
+    if kind == "text":
+        value = text.strip()
+    elif kind == "int":
+        try:
+            value = int(text.strip())
+        except ValueError as exc:
+            raise ScenarioError(f"{label}: expected an integer, got {text!r}") from exc
+    elif kind == "bool":
+        value = _BOOLS.get(text.strip().lower())
+        if value is None:
+            raise ScenarioError(f"{label}: expected a boolean, got {text!r}")
+    else:
+        number, unit = parse_quantity(text)
         dim, factor = _UNITS[unit]
-        si = value * factor
-        if expected == "length_si":
-            if dim == "length_si":
-                return si
-            if dim == "length_internal":
-                return self.units.length_to_si(si)
-        elif expected == "length_internal":
-            if dim == "length_internal":
-                return si
-            if dim == "length_si":
-                return self.units.length_from_si(si)
-        elif expected == "energy_internal":
-            if dim == "energy_internal":
-                return si
-            if dim == "energy_si":
-                return self.units.energy_from_si(si)
-        elif expected == "temperature_internal":
-            if dim == "temperature_si":
-                return self.units.temperature_from_si(si)
-            if dim == "energy_internal":
-                return si
-        elif expected == "rate_si":
-            if dim == "rate_si":
-                return si
-            if dim == "linewidth_lattice":
-                return value * self.species.gamma_lattice
-            if dim == "linewidth_coupling":
-                return value * self.species.gamma_coupling
-        elif expected == "intensity_si":
-            if dim == "intensity_si":
-                return si
-        elif expected == "momentum_internal":
-            if dim == "momentum_internal":
-                return si
-        elif expected == "dimensionless":
-            if dim == "dimensionless":
-                return si
-        raise ScenarioError(f"value {text!r} has wrong dimension for {expected}")
+        if (kind, dim) not in _CONVERSIONS:
+            raise ScenarioError(f"value {text!r} has wrong dimension for {kind}")
+        value = _CONVERSIONS[kind, dim](number * factor, units)
+    return _check(label, value, rule, text.strip())
 
 
-def _get_bool(text, key):
-    t = text.strip().lower()
-    if t in ("yes", "true", "on", "1"):
-        return True
-    if t in ("no", "false", "off", "0"):
-        return False
-    raise ScenarioError(f"{key}: expected a boolean, got {text!r}")
+def _value(cp, section, key, units=None):
+    """A key's checked value, or its default's where it is absent."""
+    _, kind, default, rule = _KEYS[section][key]
+    text = cp.get(section, key, fallback=default)
+    return None if text is None else _resolve(key, text, kind, rule, units)
 
 
-def _get_int(text, key):
-    try:
-        return int(text.strip())
-    except ValueError as exc:
-        raise ScenarioError(f"{key}: expected an integer, got {text!r}") from exc
+def _read(cp, section, units=None):
+    """Every field of a section, by field name."""
+    return {spec[0]: _value(cp, section, key, units) for key, spec in _KEYS[section].items()}
+
+
+def _laser(fields, role, key, wavelength):
+    """The section's laser block, or None where it sets ``key`` directly."""
+    intensity, detuning = fields[f"{role}_intensity"], fields[f"{role}_detuning"]
+    has_laser = intensity is not None or detuning is not None
+    if has_laser == (fields[_KEYS[role][key][0]] is not None):
+        raise ScenarioError(
+            f"{role} section needs exactly one of {key} or an intensity/detuning pair"
+        )
+    if not has_laser:
+        return None
+    if intensity is None or detuning is None:
+        raise ScenarioError(f"{role} laser block needs both intensity and detuning")
+    return LaserConfig(intensity=intensity, detuning=detuning, wavelength=wavelength, role=role)
+
+
+def _species(cp):
+    """A preset alone, or every key without a default written out."""
+    sp = _read(cp, "species")
+    preset = sp.pop("preset")
+    if preset is not None:
+        extra = set(cp["species"]) - {"preset"}
+        if extra:
+            raise ScenarioError(f"species preset cannot be mixed with {sorted(extra)}")
+        return SPECIES_PRESETS[preset]
+    missing = [k for k, (name, *_) in _KEYS["species"].items() if name in sp and sp[name] is None]
+    if missing:
+        raise ScenarioError(f"species section missing keys {sorted(missing)}")
+    return AtomSpecies(**sp)
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document."""
+    try:
+        return _parse(text)
+    except (DomainError, ArithmeticError) as exc:  # from the records built of the values
+        raise ScenarioError(f"scenario out of range: {exc}") from exc
+
+
+def _parse(text):
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     cp.optionxform = str  # case-sensitive keys
     try:
@@ -216,195 +311,56 @@ def parse_scenario(text: str) -> Scenario:
     if not cp.sections():
         raise ScenarioError("empty scenario: no sections found")
     for section in cp.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _KEYS:
             raise ScenarioError(f"unknown section [{section}]")
         for key in cp[section]:
-            if key not in _SECTION_KEYS[section]:
+            if key not in _KEYS[section]:
                 raise ScenarioError(f"unknown key {key!r} in section [{section}]")
 
-    # species
-    sp = cp["species"] if cp.has_section("species") else {}
-    if "preset" in sp:
-        extra = set(sp) - {"preset"}
-        if extra:
-            raise ScenarioError(f"species preset cannot be mixed with {sorted(extra)}")
-        preset = sp["preset"].strip()
-        if preset not in SPECIES_PRESETS:
-            raise ScenarioError(f"unknown species preset {preset!r}")
-        species = SPECIES_PRESETS[preset]
-    else:
-        required = {"mass", "lambda_L", "gamma_L", "lambda_C", "gamma_C"}
-        missing = required - set(sp)
-        if missing:
-            raise ScenarioError(f"species section missing keys {sorted(missing)}")
-        # mass in kg; unit suffix 'kg' is implied and not written
-        species = AtomSpecies(
-            name=sp.get("name", "custom").strip(),
-            mass=float(sp["mass"].split()[0]),
-            lambda_lattice=parse_quantity(sp["lambda_L"])[0]
-            * _UNITS[parse_quantity(sp["lambda_L"])[1]][1],
-            gamma_lattice=float(sp["gamma_L"].split()[0]),
-            lambda_coupling=parse_quantity(sp["lambda_C"])[0]
-            * _UNITS[parse_quantity(sp["lambda_C"])[1]][1],
-            gamma_coupling=float(sp["gamma_C"].split()[0]),
-        )
+    species = _species(cp)
+    # the lattice wavelength sets the units that the other keys resolve in
+    units = UnitSystem(species, _value(cp, "lattice", "lambda_L"))
+    if not units.e_rec > 0:
+        raise ScenarioError("mass and lattice wavelength give no finite recoil energy")
+    fields = {"species": species, "units": units, "raw_text": text}
+    for section in ("lattice", "coupling", "state", "analysis", "sweep"):
+        fields.update(_read(cp, section, units))
+    fields["lambda_lattice"] = units.lambda_lattice
+    fields["lambda_coupling"] = fields["lambda_coupling"] or species.lambda_coupling
 
-    lat = cp["lattice"] if cp.has_section("lattice") else {}
-    lambda_lattice = species.lambda_lattice
-    units = UnitSystem(species, lambda_lattice)
-    conv = _Converter(species, units)
-    if "lambda_L" in lat:
-        lambda_lattice = conv.resolve(lat["lambda_L"], "length_si")
-        units = UnitSystem(species, lambda_lattice)
-        conv = _Converter(species, units)
-
-    has_u0 = "U0" in lat
-    has_lat_laser = "intensity" in lat or "detuning" in lat
-    if has_u0 == has_lat_laser:
-        raise ScenarioError(
-            "lattice section needs exactly one of U0 or an intensity/detuning pair"
-        )
-    lattice_laser = None
-    if has_u0:
-        u0 = conv.resolve(lat["U0"], "energy_internal")
-    else:
-        if "intensity" not in lat or "detuning" not in lat:
-            raise ScenarioError("lattice laser block needs both intensity and detuning")
-        lattice_laser = LaserConfig(
-            intensity=conv.resolve(lat["intensity"], "intensity_si"),
-            detuning=conv.resolve(lat["detuning"], "rate_si"),
-            wavelength=lambda_lattice,
-            role="lattice",
-        )
-        from .core import lattice_depth_from_laser
-
-        u0 = units.energy_from_si(lattice_depth_from_laser(lattice_laser, species).u0)
-    n_sites = _get_int(lat.get("sites", "32"), "sites")
-    cutoff = _get_int(lat.get("cutoff", "16"), "cutoff")
-
-    cpl = cp["coupling"] if cp.has_section("coupling") else {}
-    lambda_coupling = (
-        conv.resolve(cpl["lambda_C"], "length_si")
-        if "lambda_C" in cpl
-        else species.lambda_coupling
-    )
-    displacement = (
-        conv.resolve(cpl["displacement"], "length_si") if "displacement" in cpl else None
-    )
-    has_vdd = "V_dd" in cpl
-    has_cpl_laser = "intensity" in cpl or "detuning" in cpl
-    v_dd = None
-    coupling_laser = None
-    if cpl:
-        if has_vdd == has_cpl_laser:
-            raise ScenarioError(
-                "coupling section needs exactly one of V_dd or an intensity/detuning pair"
-            )
-        if displacement is None:
+    laser = fields["lattice_laser"] = _laser(fields, "lattice", "U0", units.lambda_lattice)
+    fields["u0_direct"] = laser is None
+    if laser is not None:
+        u0 = units.energy_from_si(lattice_depth_from_laser(laser, species).u0)
+        fields["u0"] = _check("U0 of the laser block", u0, _KEYS["lattice"]["U0"][3], f"{u0} Erec")
+    fields["coupling_laser"] = None
+    if cp.has_section("coupling") and cp["coupling"]:
+        fields["coupling_laser"] = _laser(fields, "coupling", "V_dd", fields["lambda_coupling"])
+        if fields["displacement"] is None:
             raise ScenarioError("coupling section requires a displacement")
-        if has_vdd:
-            v_dd = conv.resolve(cpl["V_dd"], "energy_internal")
-            if v_dd >= 0:
-                raise ScenarioError("V_dd must be negative (attractive)")
-        else:
-            if "intensity" not in cpl or "detuning" not in cpl:
-                raise ScenarioError("coupling laser block needs both intensity and detuning")
-            coupling_laser = LaserConfig(
-                intensity=conv.resolve(cpl["intensity"], "intensity_si"),
-                detuning=conv.resolve(cpl["detuning"], "rate_si"),
-                wavelength=lambda_coupling,
-                role="coupling",
-            )
-    dj_max = _get_int(cpl.get("dj_max", "4"), "dj_max") if cpl else 4
-    include_offsite = _get_bool(cpl.get("include_offsite", "yes"), "include_offsite") if cpl else True
+    fields["displacement"] = fields["displacement"] or 0.0
 
-    st = cp["state"] if cp.has_section("state") else {}
-    state_mode = st.get("mode", "ground").strip()
-    if state_mode not in ("ground", "envelope", "thermal"):
-        raise ScenarioError(f"unknown state mode {state_mode!r}")
-    sigma_e = conv.resolve(st["sigma_E"], "length_internal") if "sigma_E" in st else None
-    if sigma_e is not None and sigma_e <= 0:
-        raise ScenarioError(f"sigma_E must be positive, got {st['sigma_E'].strip()!r}")
-    temperature = (
-        conv.resolve(st["T"], "temperature_internal") if "T" in st else 0.0
-    )
-    if temperature < 0:
-        raise ScenarioError("temperature must be non-negative")
-    j0 = _get_int(st["j0"], "j0") if "j0" in st else None
-    if state_mode == "envelope" and sigma_e is None:
+    if fields["state_mode"] == "envelope" and fields["sigma_e"] is None:
         raise ScenarioError("envelope mode requires sigma_E")
-
-    an = cp["analysis"] if cp.has_section("analysis") else {}
-    samples_per_site = _get_int(an.get("samples_per_site", "32"), "samples_per_site")
-    momentum_zones = _get_int(an.get("momentum_zones", "2"), "momentum_zones")
-    if momentum_zones < 1:
-        raise ScenarioError(f"momentum_zones must be at least 1, got {momentum_zones}")
-    p1_measured = (
-        conv.resolve(an["p1_measured"], "momentum_internal")
-        if "p1_measured" in an
-        else 0.4 * 2.0 * math.pi
-    )
-    optimizer_lo = conv.resolve(an.get("optimizer_min", "1 a"), "length_internal")
-    optimizer_hi = conv.resolve(an.get("optimizer_max", "30 a"), "length_internal")
-    if not 0 < optimizer_lo < optimizer_hi:
+    if fields["j0"] is not None and not 0 <= fields["j0"] < fields["n_sites"]:
+        raise ScenarioError(f"j0 must lie in [0, sites), got {fields['j0']}")
+    if not 0 < fields["optimizer_lo"] < fields["optimizer_hi"]:
         raise ScenarioError("optimizer bounds must satisfy 0 < min < max")
-    if "optimizer_temperatures" in an:
-        opt_temps = [
-            conv.resolve(part.strip(), "temperature_internal")
-            for part in an["optimizer_temperatures"].split(",")
-            if part.strip()
-        ]
-    else:
-        opt_temps = [temperature] if temperature > 0 else []
+    if fields["optimizer_temperatures"] is None:
+        fields["optimizer_temperatures"] = [t for t in [fields["temperature"]] if t > 0]
 
-    sweep = None
+    fields["sweep"] = None
     if cp.has_section("sweep"):
-        sw = cp["sweep"]
-        if "parameter" not in sw or "values" not in sw:
+        path, values = fields["sweep_path"], fields["sweep_values"]
+        if path is None or values is None:
             raise ScenarioError("sweep section needs parameter and values")
-        path = sw["parameter"].strip()
-        if path not in SWEEP_PARAMS:
-            raise ScenarioError(f"unsupported sweep parameter {path!r}")
-        expected = SWEEP_PARAMS[path][1]
-        values = [
-            conv.resolve(part.strip(), expected)
-            for part in sw["values"].split(",")
-            if part.strip()
-        ]
+        section, key = path.split(".")
+        _, kind, _, rule = _KEYS[section][key]
+        values = _resolve(path, values, [kind], rule, units)
         if not values:
             raise ScenarioError("sweep values list is empty")
-        if path == "state.sigma_E" and min(values) <= 0:
-            raise ScenarioError("sweep values of state.sigma_E must be positive")
-        sweep = (path, values)
-
-    return Scenario(
-        species=species,
-        units=units,
-        lambda_lattice=lambda_lattice,
-        u0=u0,
-        u0_direct=has_u0,
-        lattice_laser=lattice_laser,
-        n_sites=n_sites,
-        cutoff=cutoff,
-        lambda_coupling=lambda_coupling,
-        displacement=displacement if displacement is not None else 0.0,
-        v_dd=v_dd,
-        coupling_laser=coupling_laser,
-        dj_max=dj_max,
-        include_offsite=include_offsite,
-        state_mode=state_mode,
-        sigma_e=sigma_e,
-        temperature=temperature,
-        j0=j0,
-        samples_per_site=samples_per_site,
-        momentum_zones=momentum_zones,
-        p1_measured=p1_measured,
-        optimizer_lo=optimizer_lo,
-        optimizer_hi=optimizer_hi,
-        optimizer_temperatures=opt_temps,
-        sweep=sweep,
-        raw_text=text,
-    )
+        fields["sweep"] = (path, values)
+    return Scenario(**{f.name: fields[f.name] for f in dataclasses.fields(Scenario)})
 
 
 LITHIUM_EXAMPLE = """\

@@ -196,6 +196,17 @@ def test_partial_outputs_removed_on_failure(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("displacement", ["1e-300 nm", "1e300 nm"])
+def test_extreme_displacement_fails_with_one_error_line(displacement, tmp_path, capsys):
+    path = tmp_path / "far.ini"
+    path.write_text(TOY.replace("displacement = 40 nm", f"displacement = {displacement}"))
+    out = tmp_path / "out"
+    assert main(["report", "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: nearest-site kernel is \S+ at this tube displacement\n", err)
+    assert not out.exists() or not list(out.iterdir())
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
 def test_jobs_must_be_a_positive_integer(toy_scenario, tmp_path, capsys, jobs):
     with pytest.raises(SystemExit) as exc:

@@ -125,6 +125,13 @@ def test_coupling_for_nearest_value_anchors_exactly():
         dipole.coupling_for_nearest_value(2.16, LAMBDA_C, L_TUBE, A_LATT)
 
 
+@pytest.mark.parametrize("displacement", [1e-309, 1e291])
+def test_coupling_for_nearest_value_rejects_a_vanishing_or_infinite_kernel(displacement):
+    # the unit-V_C kernel overflows to -inf at 1e-309 m and underflows to 0 at 1e291 m
+    with pytest.raises(SingularityError, match="tube displacement"):
+        dipole.coupling_for_nearest_value(-2.16, LAMBDA_C, displacement, A_LATT)
+
+
 def test_lithium_coupling_scale_magnitude():
     # the -2.16 E_rec nearest-site energy needs V_C in the 0.05-0.06 E_rec range
     v_c = dipole.coupling_for_nearest_value(-2.16, LAMBDA_C, L_TUBE, A_LATT)

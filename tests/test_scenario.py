@@ -2,6 +2,7 @@
 
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lattice_epr import scenario
 from lattice_epr.cli import main
 from lattice_epr.errors import ScenarioError
+from test_cli import TOY, TOY16
 
 MINIMAL = """\
 [species]
@@ -18,6 +20,12 @@ preset = lithium
 U0 = 7.42 Erec
 sites = 32
 """
+
+INLINE_SPECIES = (
+    "[species]\nname = custom\nmass = 1.165e-26\nlambda_L = 323 nm\n"
+    "gamma_L = 1.2e6\nlambda_C = 670.8 nm\ngamma_C = 3.7e7"
+)
+LATTICE_LASER = "intensity = 0.35 W/cm^2\ndetuning = 50 gamma_L"
 
 
 def make(text):
@@ -33,6 +41,9 @@ def test_parse_quantity():
         scenario.parse_quantity("fast nm")
     with pytest.raises(ScenarioError):
         scenario.parse_quantity("3 furlongs")
+    for text in ("1e999 nm", "-1e999 Erec", "1e999"):
+        with pytest.raises(ScenarioError, match="out of range"):
+            scenario.parse_quantity(text)
 
 
 def test_builtin_lithium_example_values():
@@ -168,11 +179,7 @@ def test_sha256_tracks_text():
 
 
 def test_inline_species_definition():
-    text = MINIMAL.replace(
-        "[species]\npreset = lithium",
-        "[species]\nname = custom\nmass = 1.165e-26\nlambda_L = 323 nm\n"
-        "gamma_L = 1.2e6\nlambda_C = 670.8 nm\ngamma_C = 3.7e7",
-    )
+    text = MINIMAL.replace("[species]\npreset = lithium", INLINE_SPECIES)
     sc = make(text)
     assert sc.species.name == "custom"
     assert sc.species.lambda_lattice == pytest.approx(323e-9)
@@ -204,10 +211,18 @@ def test_momentum_zones_below_one_rejected(zones, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-# every "key = value" line of the builtin example, as (start, end) of the value
+# the builtin example, and variants with an inline species and with a lattice
+# laser block in place of U0
+_BASES = (
+    scenario.LITHIUM_EXAMPLE,
+    scenario.LITHIUM_EXAMPLE.replace("[species]\npreset = lithium", INLINE_SPECIES),
+    scenario.LITHIUM_EXAMPLE.replace("U0 = 7.42 Erec", LATTICE_LASER),
+)
+# every "key = value" line of each base, as (base, start, end) of the value
 _EXAMPLE_VALUES = [
-    m.span(1)
-    for m in re.finditer(r"^\w+ = (.*)$", scenario.LITHIUM_EXAMPLE, re.MULTILINE)
+    (base, *m.span(1))
+    for base in _BASES
+    for m in re.finditer(r"^\w+ = (.*)$", base, re.MULTILINE)
 ]
 _NUMBERS = st.one_of(st.integers().map(str), st.floats().map(repr))
 _QUANTITIES = st.builds(
@@ -217,14 +232,14 @@ _QUANTITIES = st.builds(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(
     span=st.sampled_from(_EXAMPLE_VALUES),
     value=st.one_of(st.text(), _NUMBERS, _QUANTITIES),
 )
 def test_parse_scenario_raises_only_scenario_error(span, value):
-    start, end = span
-    text = scenario.LITHIUM_EXAMPLE[:start] + value + scenario.LITHIUM_EXAMPLE[end:]
+    base, start, end = span
+    text = base[:start] + value + base[end:]
     try:
         scenario.parse_scenario(text)
     except ScenarioError:
@@ -250,3 +265,140 @@ def test_non_positive_sigma_e_rejected(mode, sigma_e, tmp_path, capsys):
 def test_non_positive_sigma_e_sweep_value_rejected(value):
     with pytest.raises(ScenarioError, match="sigma_E"):
         make(MINIMAL + f"\n[sweep]\nparameter = state.sigma_E\nvalues = 4 a, {value}\n")
+
+
+def assert_rejected(text, command, match, tmp_path, capsys):
+    """``text`` fails to parse with ScenarioError, and the CLI exits 2 with
+    one error line and writes no table."""
+    with pytest.raises(ScenarioError, match=match):
+        make(text)
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out), "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and re.search(match, err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("report", TOY.replace("U0 = 7.42 Erec", "U0 = 1e999 Erec")),
+        ("distributions", TOY.replace("U0 = 7.42 Erec", "U0 = 1e999 Erec")),
+        ("report", TOY16.replace("T = 10 nK", "T = 1e999 nK")),
+        ("report", TOY.replace("V_dd = -2.16 Erec", "V_dd = -1e999 Erec")),
+        ("sweep", TOY + "\n[sweep]\nparameter = lattice.U0\nvalues = 7.42 Erec, 1e999 Erec\n"),
+    ],
+    ids=["U0-report", "U0-distributions", "T", "V_dd", "U0-sweep"],
+)
+def test_non_finite_number_rejected(command, text, tmp_path, capsys):
+    assert_rejected(text, command, "out of range", tmp_path, capsys)
+
+
+def test_converted_value_out_of_float_range_rejected():
+    with pytest.raises(ScenarioError, match="optimizer_max = '1e308 m' is out of range"):
+        make(MINIMAL + "\n[analysis]\noptimizer_max = 1e308 m\n")
+
+
+CUSTOM_TOY = TOY.replace("[species]\npreset = lithium", INLINE_SPECIES)
+LASER_TOY = TOY.replace("U0 = 7.42 Erec", LATTICE_LASER)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        (CUSTOM_TOY.replace("mass = 1.165e-26", "mass = abc"), "'abc'"),
+        (CUSTOM_TOY.replace("mass = 1.165e-26", "mass ="), "''"),
+        (CUSTOM_TOY.replace("mass = 1.165e-26", "mass = -1"), "mass must be positive"),
+        (CUSTOM_TOY.replace("lambda_L = 323 nm", "lambda_L = 323 nK"), "wavelength"),
+        (CUSTOM_TOY.replace("gamma_C = 3.7e7", "gamma_C = 3.7e7 gamma_L"), "linewidth"),
+        (LASER_TOY.replace("detuning = 50 gamma_L", "detuning = 0 gamma_L"), "non-zero"),
+        (LASER_TOY.replace("intensity = 0.35", "intensity = -0.35"), "non-negative"),
+        (LASER_TOY.replace("detuning = 50", "detuning = -50"), "U0 of the laser block"),
+        (LASER_TOY.replace("intensity = 0.35", "intensity = 1e300"), "out of range"),
+    ],
+    ids=["mass-text", "mass-empty", "mass-negative", "lambda-temperature",
+         "gamma-self", "detuning-zero", "intensity-negative", "blue-detuned", "u0-overflow"],
+)
+def test_malformed_species_and_laser_block_rejected(text, match, tmp_path, capsys):
+    assert_rejected(text, "report", match, tmp_path, capsys)
+
+
+def test_inline_species_keys_resolve_their_units():
+    sc = make(CUSTOM_TOY.replace("gamma_L = 1.2e6", "gamma_L = 1.2e6 MHz"))
+    assert sc.species.gamma_lattice == pytest.approx(1.2e6 * 2e6 * math.pi)
+    sc = make(CUSTOM_TOY.replace("gamma_C = 3.7e7", "gamma_C = 3.7e7 s^-1"))
+    assert sc.species.gamma_coupling == 3.7e7 and sc.species.mass == 1.165e-26
+
+
+def test_species_and_lattice_wavelengths_take_si_lengths_only():
+    with pytest.raises(ScenarioError, match="wavelength"):
+        make(MINIMAL.replace("U0 = 7.42 Erec", "U0 = 7.42 Erec\nlambda_L = 2 a"))
+    sc = make(MINIMAL.replace("U0 = 7.42 Erec", "U0 = 7.42 Erec\nlambda_L = 0.4 um"))
+    assert sc.lambda_lattice == pytest.approx(4e-7) and sc.units.a == pytest.approx(2e-7)
+
+
+@pytest.mark.parametrize(
+    "command, old, new, match",
+    [
+        ("report", "sites = 8", "sites = 4", "sites must be at least 8"),
+        ("report", "cutoff = 16", "cutoff = 4", "cutoff must be at least 8"),
+        ("distributions", "samples_per_site = 32", "samples_per_site = 2",
+         "samples_per_site must be at least 4"),
+        ("report", "V_dd = -2.16 Erec", "V_dd = -2.16 Erec\ndj_max = 0", "dj_max must be at least 1"),
+        ("report", "displacement = 40 nm", "displacement = 0 nm", "displacement must be positive"),
+        ("report", "displacement = 40 nm", "displacement = -40 nm", "displacement must be positive"),
+        ("distributions", "mode = ground", "mode = envelope\nsigma_E = 1 a\nj0 = 999",
+         r"j0 must lie in \[0, sites\), got 999"),
+        ("distributions", "mode = ground", "mode = envelope\nsigma_E = 1 a\nj0 = 8",
+         r"j0 must lie in \[0, sites\), got 8"),
+        ("distributions", "mode = ground", "mode = envelope\nsigma_E = 1 a\nj0 = -1",
+         r"j0 must lie in \[0, sites\), got -1"),
+        ("optimize", "momentum_zones = 2", "optimizer_temperatures = 10 nK, -5 nK",
+         "optimizer_temperatures must be non-negative"),
+    ],
+    ids=["sites", "cutoff", "samples_per_site", "dj_max", "displacement-zero",
+         "displacement-negative", "j0-far", "j0-sites", "j0-negative", "optimizer-T"],
+)
+def test_out_of_range_value_rejected_at_parse(command, old, new, match, tmp_path, capsys):
+    assert old in TOY
+    assert_rejected(TOY.replace(old, new), command, match, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "path, values, match",
+    [
+        ("coupling.V_dd", "-2 Erec, 1 Erec", "coupling.V_dd must be negative .*'1 Erec'"),
+        ("state.T", "5 nK, -5 nK", "state.T must be non-negative, got '-5 nK'"),
+        ("lattice.U0", "7.42 Erec, -1 Erec", "lattice.U0 must be non-negative"),
+    ],
+)
+def test_sweep_value_meets_the_rule_of_its_key(path, values, match, tmp_path, capsys):
+    text = TOY + f"\n[sweep]\nparameter = {path}\nvalues = {values}\n"
+    assert_rejected(text, "sweep", match, tmp_path, capsys)
+
+
+def test_sweep_params_come_from_the_key_table():
+    for path, (field, kind) in scenario.SWEEP_PARAMS.items():
+        section, key = path.split(".")
+        assert scenario._KEYS[section][key][:2] == (field, kind)
+    assert sorted(scenario.SWEEP_PARAMS) == ["coupling.V_dd", "lattice.U0", "state.T", "state.sigma_E"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_scenario_block_parses():
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    sc = make(block)
+    assert sc.u0 == pytest.approx(7.42) and sc.sweep[0] == "state.T"
+
+
+def test_readme_lists_every_key_with_its_default_and_rule():
+    text = README.read_text()
+    for section, keys in scenario._KEYS.items():
+        for key, (_, _, default, rule) in keys.items():
+            shown = "—" if default is None else f"`{default}`"
+            bound = "—" if rule is None else rule[1]
+            assert f"| `[{section}]` | `{key}` | {shown} | {bound} |" in text
