@@ -331,20 +331,32 @@ def folded_sum_momentum_width(state: TwoAtomState, estimator: str = "hwhm") -> f
 # ---------------------------------------------------------------------------
 # closed forms
 
-def delta_x_minus(sigma, v_hop, v_dd, a: float = 1.0):
-    """Relative-position width sqrt(sigma^2 + 2 a^2 (v_hop / v_dd)^2)."""
+def delta_x_minus(sigma, v_hop, v_dd):
+    """Relative-position width sqrt(sigma^2 + 2 a^2 (v_hop / v_dd)^2), in a."""
     if v_dd == 0:
         raise SingularityError("relative-position width undefined at zero interaction")
-    return math.sqrt(sigma**2 + 2.0 * a**2 * (v_hop / v_dd) ** 2)
+    return math.sqrt(sigma**2 + 2.0 * (v_hop / v_dd) ** 2)
 
 
-def delta_p_plus_thermal(v_dd, v_hop, temperature, a: float = 1.0):
+def delta_p_plus_thermal(v_dd, v_hop, temperature):
     """Thermal sum-momentum width sqrt(|v_dd| k_B T / (4 v_hop^2)), hbar/a units."""
     if v_hop == 0:
         raise SingularityError("thermal momentum width undefined at zero hopping")
     if temperature < 0:
         raise DomainError("temperature must be non-negative")
-    return math.sqrt(abs(v_dd) * temperature / (4.0 * v_hop**2)) / a
+    return math.sqrt(abs(v_dd) * temperature / (4.0 * v_hop**2))
+
+
+def _prep_tanh(sigma_e, temperature):
+    """tanh[1 / (pi^2 sigma_E^2 T)], the thermal factor of the preparation
+    forms, for T > 0."""
+    try:
+        return math.tanh(1.0 / (math.pi**2 * sigma_e**2 * temperature))
+    except (ZeroDivisionError, OverflowError):  # pi^2 sigma_E^2 T is 0 or overflows
+        raise DomainError(
+            f"pi^2 sigma_E^2 T is outside the float range at sigma_E = {sigma_e:g} a, "
+            f"T = {temperature:g} E_rec"
+        ) from None
 
 
 def delta_p_plus_prep(sigma_e, temperature):
@@ -359,8 +371,12 @@ def delta_p_plus_prep(sigma_e, temperature):
         raise DomainError("temperature must be non-negative")
     if temperature == 0:
         return 1.0 / (math.sqrt(2.0) * sigma_e)
-    arg = 1.0 / (math.pi**2 * sigma_e**2 * temperature)
-    return 1.0 / (math.sqrt(2.0) * sigma_e * math.tanh(arg))
+    factor = _prep_tanh(sigma_e, temperature)
+    if factor == 0:  # pi^2 sigma_E^2 T is inf
+        raise DomainError(
+            f"dp_plus_prep is infinite at sigma_E = {sigma_e:g} a, T = {temperature:g} E_rec"
+        )
+    return 1.0 / (math.sqrt(2.0) * sigma_e * factor)
 
 
 def s_parameter(dx_minus, dp_plus):
@@ -380,7 +396,7 @@ def s_estimate(sigma_e, sigma, temperature):
     pref = sigma_e / (math.sqrt(2.0) * sigma)
     if temperature == 0:
         return pref
-    return pref * math.tanh(1.0 / (math.pi**2 * sigma_e**2 * temperature))
+    return pref * _prep_tanh(sigma_e, temperature)
 
 
 @dataclass(frozen=True)
@@ -429,9 +445,9 @@ def optimize_sigma_e(sigma, temperature, lo, hi, tol: float = 1e-4) -> OptimizeR
     return OptimizeResult(sigma_e=best_x, s=best_s, on_boundary=boundary)
 
 
-def pair_fraction(sigma_e, a: float = 1.0):
+def pair_fraction(sigma_e):
     """Fraction ~ a / sigma_E of doubly occupied tube pairs kept as diatoms."""
     if sigma_e <= 0:
         raise DomainError("envelope width must be positive")
-    return a / sigma_e
+    return 1.0 / sigma_e
 

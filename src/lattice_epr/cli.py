@@ -39,28 +39,27 @@ def _fmt(value):
 # ---------------------------------------------------------------------------
 # grid tables: format(v, ".12g") for whole blocks of values in numpy
 #
-# A number is laid out in a field of four 8-byte words, and a byte mask
-# keeps the bytes it prints.  The pieces are aligned so that the kept bytes
-# form two runs per number: compacting with the mask costs per run as well
-# as per byte.
-#   word 0     sign and leading digit, right-aligned: "-d." (exponent form
-#              and exponent 0), "-d" (exponents 1..11) or "-0.00d" (-4..-1)
+# Every piece of a line is padded with NUL bytes to whole 8-byte words, and
+# a line is exactly its non-NUL bytes, so a block is compacted with one
+# `!= 0` selection.  This holds because labels and delimiters never contain
+# NUL.  A number takes four words:
+#   word 0     sign and leading digit, right-aligned: "-0.00d" (exponents
+#              -4..-1), or "-d" with a '.' where digits follow it in
+#              exponent form and at exponent 0
 #   words 1-2  the other 11 digits, with a '.' after the integer digits
-#              for exponents 1..11
-#   word 3     "e-05\n", "e+123\n" or "\n"
-_FIELD_BYTES = 32
-_MIN_EXP = -330     # decimal exponents of the tables indexed by exponent
-_MAX_EXP = 330
+#              for exponents 1..11, and NUL past the printed ones
+#   word 3     "e-05\n", "e+123\n" or "\n", left-aligned
+# The printed bytes then form two runs per number, and the compaction costs
+# per run as well as per byte.
+_MIN_EXP = -330     # decimal exponents -330 .. 330 index the tables
 # values formatted per block: a few MB per worker thread, and bounds that
 # depend only on the grid size
 _GRID_BLOCK_VALUES = 8192
 
 
-def _words(chunks, align):
-    """Byte strings of at most 8 bytes, padded with NUL bytes to the
-    ``align`` ("left" or "right"), as 8-byte words."""
-    pad = bytes.ljust if align == "left" else bytes.rjust
-    return np.frombuffer(b"".join(pad(c, 8, b"\0") for c in chunks), np.uint64)
+def _words(chunks, width=8):
+    """Byte strings NUL-padded to ``width`` bytes (a multiple of 8) as 8-byte words."""
+    return np.frombuffer(b"".join(c.ljust(width, b"\0") for c in chunks), np.uint64)
 
 
 @functools.cache
@@ -69,54 +68,30 @@ def _g12_tables():
     quads = [f"{i:04d}" for i in range(10_000)]
     # the four digits of 0..9999 as the low bytes of a word, and their
     # trailing zeros (4 for 0)
-    digits = _words([q.encode() for q in quads], "left")
+    digits = _words([q.encode() for q in quads])
     zeros = np.array([4] + [len(q) - len(q.rstrip("0")) for q in quads[1:]])
-    exps = range(_MIN_EXP, _MAX_EXP + 1)
+    exps = range(_MIN_EXP, -_MIN_EXP + 1)
     # correctly rounded 10**k, for k = -330 .. 330 (0 and inf at the ends)
     pow10 = np.array([float(f"1e{k}") for k in exps])
-    # layout class by exponent: fixed form -4..11 -> 0..15, exponent form
-    # with two (16) or three (17) exponent digits
-    layout = np.array([x + 4 if -4 <= x < 12 else 16 + (abs(x) >= 100) for x in exps])
-    suffix = _words([b"e%+03d\n" % x if c >= 16 else b"\n" for x, c in zip(exps, layout)], "left")
-
-    def lead_bytes(sign, cls, d):
-        x = 0 if cls >= 16 else cls - 4
-        if x > 0:
-            body = b"%d" % d
-        elif x == 0:
-            body = b"%d." % d
-        else:
-            body = b"0." + b"0" * -(x + 1) + b"%d" % d
-        return b"-" * sign + body
-
-    lead = _words([lead_bytes(*key) for key in np.ndindex(2, 18, 10)], "right")
-    # byte masks by (sign, layout class, significant digits kept)
-    masks = np.zeros((2, 18, 13, _FIELD_BYTES), bool)
-    for sign, cls, kept in np.ndindex(2, 18, 13):
-        x = 0 if cls >= 16 else cls - 4
-        if x <= 0:
-            rest = kept - 1     # the digits after the leading one
-        elif kept <= x + 1:
-            rest = x            # integer digits only, no '.'
-        else:
-            rest = kept         # kept - 1 digits and the '.'
-        m = masks[sign, cls, kept]
-        m[8 - len(lead_bytes(sign, cls, 0)) : 8 - (x == 0 and kept == 1)] = True
-        m[8 : 8 + rest] = True
-        m[24 : 24 + (1 if cls < 16 else cls - 11)] = True  # "\n", "e-05\n", "e+123\n"
-    return digits, zeros, pow10, layout, suffix, lead, masks.view(np.uint64).reshape(-1, 4)
+    suffix = _words([b"\n" if -4 <= x < 12 else b"e%+03d\n" % x for x in exps])
+    # by (sign, zeros after "0." of a fixed form below 1, digit, '.' after it)
+    lead = _words([(b"-" * sign + b"0." * (z > 0) + b"0" * (z - 1) + b"%d" % d + b"." * dot)
+                   .rjust(8, b"\0") for sign, z, d, dot in np.ndindex(2, 5, 10, 2)])
+    # masks of the first n bytes of words 1 and 2, for n = 0..12
+    keep = _words([b"\xff" * n for n in range(13)], 16).reshape(13, 2).T.copy()
+    return digits, zeros, pow10, suffix, lead, keep
 
 
-def _g12_fields(values, words, mask_words):
-    """Write format(v, ".12g") + "\\n" of each value into its field:
-    ``words`` and ``mask_words`` are (len(values), 4) uint64 views.
+def _g12_fields(values, words):
+    """Write format(v, ".12g") + "\\n" of each value, padded with NUL bytes,
+    into its row of the (len(values), 4) uint64 view ``words``.
 
     The 12 digits are rint(|v| 10**(11 - x)) for the decimal exponent x.
     The float64 product is off by at most ~2.3e-4 of a unit, so values whose
     product lies within 1e-3 of a rounding tie, and zero, non-finite, tiny
     and huge values, are left to ``format`` itself.
     """
-    digits, zeros, pow10, layout, suffix, lead, masks = _g12_tables()
+    digits, zeros, pow10, suffix, lead, keep = _g12_tables()
     a = np.abs(values)
     exact = (a >= 1e-290) & (a < 1e290)
     a[~exact] = 1.0
@@ -140,55 +115,33 @@ def _g12_fields(values, words, mask_words):
     kept = 12 - zeros[lo]
     for zero, more in ((lo == 0, mid), (lo + mid == 0, hi)):
         kept[zero] -= zeros[more[zero]]
-    x -= _MIN_EXP
-    cls = np.signbit(values) * 18 + layout[x]
+    below = np.where((x >= -4) & (x < 0), -x, 0)
+    fixed = (x > 0) & (x < 12)
+    dot = (kept > 1) & ~fixed & (below == 0)
+    # digit bytes printed: the integer digits, and the '.' and the rest
+    # where a fraction is left (exponents 1..11), else all but the lead
+    printed = np.where(fixed, np.where(kept <= x + 1, x, kept), kept - 1)
     # the four digits of hi, mid and lo; word 0 takes the first of them
     q1, q2, q3 = digits[hi], digits[mid], digits[lo]
-    words[:, 0] = lead[cls * 10 + hi // 1000]
+    words[:, 0] = lead[((np.signbit(values) * 5 + below) * 10 + hi // 1000) * 2 + dot]
     words[:, 1] = (q1 >> 8) | (q2 << 24) | (q3 << 56)
     words[:, 2] = q3 >> 8
-    words[:, 3] = suffix[x]
-    mask_words[...] = masks.take(cls * 13 + kept, axis=0)
-    field, mask = words.view(np.uint8), mask_words.view(bool)
+    words[:, 3] = suffix[x - _MIN_EXP]
+    field = words.view(np.uint8)
     # a '.' after the integer digits of exponents 1..11
-    fixed = np.flatnonzero((x > -_MIN_EXP) & (x < 12 - _MIN_EXP))
-    at = x[fixed, None] + _MIN_EXP
+    dotted = np.flatnonzero(fixed)
+    at = x[dotted, None]
     col = np.arange(12)
-    field[fixed, 8:20] = np.where(
-        col < at, field[fixed, 8:20], np.where(col == at, ord("."), field[fixed, 7:19])
+    field[dotted, 8:20] = np.where(
+        col < at, field[dotted, 8:20], np.where(col == at, ord("."), field[dotted, 7:19])
     )
+    words[:, 1] &= keep[0][printed]
+    words[:, 2] &= keep[1][printed]
     bad = np.flatnonzero(~exact)
     if len(bad):
-        text = b"".join((format(v, ".12g") + "\n").encode().ljust(_FIELD_BYTES, b"\0")
+        text = b"".join((format(v, ".12g") + "\n").encode().ljust(32, b"\0")
                         for v in values[bad].tolist())
         field[bad] = np.frombuffer(text, np.uint8).reshape(len(bad), -1)
-        mask[bad] = field[bad] != 0
-
-
-def _label_words(labels, width):
-    """ASCII labels padded with NUL bytes to ``width`` (a multiple of 8)
-    bytes as words, and the words of their byte masks."""
-    data = np.frombuffer("".join(s.ljust(width, "\0") for s in labels).encode(), np.uint64)
-    mask = np.frombuffer(bytes(data.view(np.uint8) != 0), np.uint64)
-    return data.reshape(len(labels), -1), mask.reshape(len(labels), -1)
-
-
-def _grid_block(heads, middles, density):
-    """The lines head + middle + number of the rows of ``density``.  The
-    head words of a row are ORed into the first label words of its lines."""
-    (head, head_mask), (middle, middle_mask) = heads, middles
-    rows, cols = density.shape
-    n = middle.shape[1]
-    words = np.empty((rows, cols, n + _FIELD_BYTES // 8), np.uint64)
-    mask_words = np.empty_like(words)
-    words[..., :n] = middle
-    mask_words[..., :n] = middle_mask
-    for k in range(head.shape[1]):
-        words[..., k] |= head[:, k, None]
-        mask_words[..., k] |= head_mask[:, k, None]
-    flat = (rows * cols, -1)
-    _g12_fields(density.ravel(), words.reshape(flat)[:, n:], mask_words.reshape(flat)[:, n:])
-    return words.view(np.uint8)[mask_words.view(bool)]
 
 
 class _Writer:
@@ -228,19 +181,26 @@ class _Writer:
         if not rows or not cols:
             return
         d = self.delimiter
-        heads = [_fmt(x1) for x1 in grid.axis1.tolist()]
-        middles = [d + _fmt(x2) + d for x2 in grid.axis2.tolist()]
+        heads = [_fmt(x1).encode() for x1 in grid.axis1.tolist()]
+        middles = [(d + _fmt(x2) + d).encode() for x2 in grid.axis2.tolist()]
         # head right-aligned and middle left-aligned after it: one run of bytes
         hw, mw = max(map(len, heads)), max(map(len, middles))
-        width = -(-(hw + mw) // 8) * 8
-        head = _label_words([s.rjust(hw, "\0") for s in heads], -(-hw // 8) * 8)
-        middle = _label_words(["\0" * hw + s for s in middles], width)
+        head = _words([s.rjust(hw, b"\0") for s in heads], -(-hw // 8) * 8).reshape(rows, -1)
+        n = -(-(hw + mw) // 8)
+        middle = _words([b"\0" * hw + s for s in middles], n * 8).reshape(cols, n)
         _g12_tables()  # build once, before the workers start
         step = max(_GRID_BLOCK_VALUES // cols, 1)
 
         def block(lo):
-            hi = min(lo + step, rows)
-            return _grid_block((head[0][lo:hi], head[1][lo:hi]), middle, grid.density[lo:hi])
+            """The lines head + middle + number of rows lo .. lo + step."""
+            density = grid.density[lo : lo + step]
+            words = np.empty((len(density), cols, n + 4), np.uint64)
+            words[..., :n] = middle
+            for k in range(head.shape[1]):
+                words[..., k] |= head[lo : lo + step, k, None]
+            _g12_fields(density.ravel(), words.reshape(-1, n + 4)[:, n:])
+            line = words.view(np.uint8)
+            return line[line != 0]
 
         threads = min(self.jobs, -(-rows // step))
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -260,11 +220,6 @@ class _Writer:
                 pass
 
 
-def _jobs(args):
-    """Worker count: ``--jobs``, or every core when it is not given."""
-    return args.jobs or os.cpu_count() or 1
-
-
 def _positive_int(text):
     value = int(text)
     if value < 1:
@@ -278,10 +233,7 @@ def _cmd_bands(sc: Scenario, writer: _Writer, args):
     writer.table(
         "bands." + args.format,
         ["q", "E0", "E1", "E2"],
-        [
-            (q, *spectrum.energies[i, :3])
-            for i, q in enumerate(spectrum.q)
-        ],
+        list(zip(spectrum.q, *spectrum.energies.T)),
     )
     wannier0 = model.wannier0
     writer.table(
@@ -304,14 +256,7 @@ def _cmd_diatom(sc: Scenario, writer: _Writer, args):
     writer.table(
         "dipole_profile." + args.format,
         ["dj", "R", "theta", "V_dd"],
-        list(
-            zip(
-                profile.offsets,
-                profile.separations,
-                profile.angles,
-                profile.values,
-            )
-        ),
+        list(zip(profile.offsets, profile.separations, profile.angles, profile.values)),
     )
     writer.table(
         "diatom_band." + args.format,
@@ -332,17 +277,13 @@ def _cmd_distributions(sc: Scenario, writer: _Writer, args):
     if state.regime_warning:
         print(f"warning: {state.regime_warning}", file=sys.stderr)
     orbital = model.wannier0
-    jobs = _jobs(args)
-
-    pos = analysis.joint_position_density(
-        state, orbital, sc.samples_per_site, jobs=jobs
-    )
+    pos = analysis.joint_position_density(state, orbital, sc.samples_per_site, jobs=writer.jobs)
     writer.table("position_joint." + args.format, ["x1", "x2", "density"], pos)
     j0 = sc.j0 if sc.j0 is not None else sc.n_sites // 2
     slice_w = analysis.conditional_density(pos, axis=1, value=float(j0))
     del pos  # never hold both full position grids
     pos_g = analysis.joint_position_density(
-        state, lattice.GaussianOrbital(model.width.sigma), sc.samples_per_site, jobs=jobs
+        state, lattice.GaussianOrbital(model.width.sigma), sc.samples_per_site, jobs=writer.jobs
     )
     slice_g = analysis.conditional_density(pos_g, axis=1, value=float(j0))
     writer.table(
@@ -429,7 +370,7 @@ def _cmd_sweep(sc: Scenario, writer: _Writer, args):
     path, values = sc.sweep
     # one base model per worker, which builds the stages its points share
     # once; one point per task, so the workers balance their load
-    workers = min(_jobs(args), len(values))
+    workers = min(writer.jobs, len(values))
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_sweep_worker, initargs=(sc.raw_text,)
@@ -485,7 +426,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     delimiter = "," if args.format == "csv" else "\t"
-    writer = _Writer(args.out, sc, delimiter, _jobs(args))
+    writer = _Writer(args.out, sc, delimiter, args.jobs or os.cpu_count() or 1)
     try:
         return _COMMANDS[args.command](sc, writer, args)
     except LatticeEprError as exc:

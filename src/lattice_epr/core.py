@@ -143,10 +143,11 @@ def lattice_depth_from_laser(laser: LaserConfig, species: AtomSpecies) -> LightS
     """Two-level light-shift estimate of the lattice depth U0.
 
     Uses U0 = hbar Omega^2 / (4 delta) with Omega^2 = gamma^2 I / (2 I_sat).
-    This standard chain does not reproduce the lattice depth quoted for the
-    lithium scheme from its quoted intensity and detuning, so the result is
-    annotated and scenario files are expected to set U0 directly; the helper
-    is provided for logged comparisons only.
+    A scenario's ``[lattice]`` laser block (intensity and detuning in place
+    of ``U0``) sets U0 through this helper.  This standard chain does not
+    reproduce the depth quoted for the lithium scheme from its quoted
+    intensity and detuning, which is why the builtin example sets U0
+    directly; the result carries its convention as an annotation.
     """
     if laser.detuning == 0:
         raise SingularityError("light shift diverges at zero detuning")

@@ -72,8 +72,8 @@ class BlochSpectrum:
 
     config: LatticeConfig
     q: np.ndarray                # (N,) quasimomenta in 1/a
-    energies: np.ndarray         # (N, nbands) in E_rec
-    coefficients: np.ndarray     # (N, 2M+1, nbands), real
+    energies: np.ndarray         # (N, 3) in E_rec
+    coefficients: np.ndarray     # (N, 2M+1, 3), real
 
     @property
     def n_sites(self):
@@ -92,8 +92,9 @@ def _bloch_matrix(q, u0, cutoff):
     return h
 
 
-def band_structure(cfg: LatticeConfig, nbands: int = 3, check_convergence: bool = True) -> BlochSpectrum:
-    """Diagonalize the plane-wave lattice Hamiltonian on the full q grid.
+def band_structure(cfg: LatticeConfig) -> BlochSpectrum:
+    """Diagonalize the plane-wave lattice Hamiltonian on the full q grid and
+    keep its three lowest bands.
 
     Raises ConvergenceError if doubling the cutoff moves the lowest band by
     more than 1e-8 E_rec at the zone center or edge.
@@ -101,21 +102,20 @@ def band_structure(cfg: LatticeConfig, nbands: int = 3, check_convergence: bool 
     n = cfg.n_sites
     m = cfg.cutoff
     q = 2.0 * np.pi * np.arange(-n // 2, n // 2) / n
-    energies = np.empty((n, nbands))
-    coeffs = np.empty((n, 2 * m + 1, nbands))
+    energies = np.empty((n, 3))
+    coeffs = np.empty((n, 2 * m + 1, 3))
     for i, qi in enumerate(q):
         w, v = np.linalg.eigh(_bloch_matrix(qi, cfg.u0, m))
-        energies[i] = w[:nbands]
-        coeffs[i] = v[:, :nbands]
-    if check_convergence:
-        for qi in (0.0, -np.pi):
-            e_m = np.linalg.eigvalsh(_bloch_matrix(qi, cfg.u0, m))[0]
-            e_2m = np.linalg.eigvalsh(_bloch_matrix(qi, cfg.u0, 2 * m))[0]
-            if abs(e_m - e_2m) > 1e-8:
-                raise ConvergenceError(
-                    f"plane-wave cutoff {m} not converged at q={qi:.3f}: "
-                    f"|dE0| = {abs(e_m - e_2m):.3e} E_rec > 1e-8"
-                )
+        energies[i] = w[:3]
+        coeffs[i] = v[:, :3]
+    for qi in (0.0, -np.pi):
+        e_m = np.linalg.eigvalsh(_bloch_matrix(qi, cfg.u0, m))[0]
+        e_2m = np.linalg.eigvalsh(_bloch_matrix(qi, cfg.u0, 2 * m))[0]
+        if abs(e_m - e_2m) > 1e-8:
+            raise ConvergenceError(
+                f"plane-wave cutoff {m} not converged at q={qi:.3f}: "
+                f"|dE0| = {abs(e_m - e_2m):.3e} E_rec > 1e-8"
+            )
     return BlochSpectrum(config=cfg, q=q, energies=energies, coefficients=coeffs)
 
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 import functools
 import math
 
+import numpy as np
+
 from . import analysis, diatom, dipole, lattice
 from .core import dipole_moment_sq_from_linewidth
-from .errors import ScenarioError
+from .errors import ScenarioError, SingularityError
 from .scenario import Scenario
 
 __all__ = ["Model"]
@@ -169,7 +171,15 @@ class Model:
         coupling = dipole.DipoleCoupling(
             v_c=v_c, lambda_c=sc.lambda_coupling, displacement=sc.displacement
         )
-        return dipole.interaction_profile(coupling, a_si, dj_max=sc.dj_max)
+        with np.errstate(all="ignore"):  # a non-finite profile fails below
+            profile = dipole.interaction_profile(coupling, a_si, dj_max=sc.dj_max)
+        bad = np.flatnonzero(~np.isfinite(profile.values))
+        if len(bad):
+            dj = bad[0]
+            raise SingularityError(
+                f"V_dd at site offset {dj} is {profile.values[dj]} at this tube displacement"
+            )
+        return profile
 
     @_stage
     def hamiltonian(self) -> diatom.TwoAtomHamiltonian:

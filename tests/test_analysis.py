@@ -243,6 +243,23 @@ def test_delta_p_plus_prep_limits():
     assert analysis.delta_p_plus_prep(6.0, 0.01) > analysis.delta_p_plus_prep(6.0, 0.0)
 
 
+@pytest.mark.parametrize("sigma_e", [1e-300, 1e300])
+def test_preparation_forms_reject_a_tanh_argument_out_of_float_range(sigma_e):
+    # pi^2 sigma_E^2 T underflows to 0, or sigma_E^2 overflows
+    with pytest.raises(DomainError, match="outside the float range"):
+        analysis.delta_p_plus_prep(sigma_e, 7.6e-4)
+    with pytest.raises(DomainError, match="outside the float range"):
+        analysis.s_estimate(sigma_e, 0.136, 7.6e-4)
+
+
+def test_preparation_forms_where_the_tanh_underflows():
+    # pi^2 sigma_E^2 T is inf: the tanh factor is 0, so s is 0 to within
+    # float range and dp_plus_prep is infinite
+    assert analysis.s_estimate(1e154, 0.136, 1.0) == 0.0
+    with pytest.raises(DomainError, match="dp_plus_prep is infinite"):
+        analysis.delta_p_plus_prep(1e154, 1.0)
+
+
 def test_s_parameter_identity():
     s = analysis.s_parameter(0.2, 0.3)
     assert s == pytest.approx(1.0 / (2.0 * 0.2 * 0.3), rel=1e-15)

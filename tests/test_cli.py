@@ -196,15 +196,41 @@ def test_partial_outputs_removed_on_failure(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+def _assert_fails_with_one_error_line(command, text, tmp_path, capsys, pattern):
+    """``command`` on the scenario ``text`` exits 1, prints one stderr line
+    matching ``pattern`` and leaves no table."""
+    path = tmp_path / "scenario.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
+    assert re.fullmatch(pattern, capsys.readouterr().err)
+    assert not out.exists() or not list(out.iterdir())
+
+
 @pytest.mark.parametrize("displacement", ["1e-300 nm", "1e300 nm"])
 def test_extreme_displacement_fails_with_one_error_line(displacement, tmp_path, capsys):
-    path = tmp_path / "far.ini"
-    path.write_text(TOY.replace("displacement = 40 nm", f"displacement = {displacement}"))
-    out = tmp_path / "out"
-    assert main(["report", "--scenario", str(path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"error: nearest-site kernel is \S+ at this tube displacement\n", err)
-    assert not out.exists() or not list(out.iterdir())
+    text = TOY.replace("displacement = 40 nm", f"displacement = {displacement}")
+    pattern = r"error: nearest-site kernel is \S+ at this tube displacement\n"
+    _assert_fails_with_one_error_line("report", text, tmp_path, capsys, pattern)
+
+
+def test_non_finite_laser_profile_fails_with_one_error_line(tmp_path, capsys):
+    text = TOY.replace("V_dd = -2.16 Erec", "intensity = 1 W/cm^2\ndetuning = -1e3 gamma_C")
+    text = text.replace("displacement = 40 nm", "displacement = 1e-300 nm")
+    pattern = r"error: V_dd at site offset 0 is -inf at this tube displacement\n"
+    _assert_fails_with_one_error_line("report", text, tmp_path, capsys, pattern)
+
+
+@pytest.mark.parametrize("command, old, new", [
+    ("report", "sigma_E = 2 a", "sigma_E = 1e-300 a"),
+    ("report", "sigma_E = 2 a", "sigma_E = 1e300 a"),
+    ("optimize", "momentum_zones = 2", "momentum_zones = 2\noptimizer_min = 1e-300 a"),
+], ids=["report-tiny-sigma_E", "report-huge-sigma_E", "optimize-tiny-optimizer_min"])
+def test_out_of_range_preparation_width_fails_with_one_error_line(
+    command, old, new, tmp_path, capsys
+):
+    pattern = r"error: pi\^2 sigma_E\^2 T is outside the float range at .*\n"
+    _assert_fails_with_one_error_line(command, TOY16.replace(old, new), tmp_path, capsys, pattern)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
@@ -272,6 +298,32 @@ def test_grid_table_rounds_a_decimal_tie_half_to_even(tmp_path):
     scenario = types.SimpleNamespace(sha256="ab" * 32)
     path = _Writer(str(tmp_path), scenario, ",").table("grid", ["a", "b", "c"], grid)
     assert Path(path).read_text().splitlines()[-1] == "0.5,1.5,1234567890.12"
+
+
+def test_grid_table_matches_format_over_every_layout(tmp_path):
+    # rows: sign and decimal exponent; columns: 1..12 significant digits,
+    # every one non-zero, so the value prints exactly that many
+    digits = "123456789123"
+    exponents = range(-330, 331)
+    density = np.array([
+        [float(f"{sign}{digits[0]}.{digits[1:kept]}e{x}") for kept in range(1, 13)]
+        for sign in ("", "-") for x in exponents
+    ])
+    # exponents 1..11 with the '.' inside the digits and zeros either side,
+    # in place of 1-digit values that print as 0, subnormals or inf
+    inner = "100000000001"
+    dotted = [float(f"{inner[:x + 1]}.{inner[x + 1:]}") for x in range(1, 12)]
+    density[:11, 0] = dotted
+    density[-11:, 0] = np.negative(dotted)
+    grid = DistributionGrid(
+        axis1=np.arange(len(density)) - 661.5, axis2=np.arange(1.0, 13.0),
+        density=density, kind="position",
+    )
+    scenario = types.SimpleNamespace(sha256="01" * 32)
+    path = _Writer(str(tmp_path), scenario, ",", 2).table("grid", ["a", "b", "c"], grid)
+    reference = tmp_path / "reference"
+    _write_grid_reference(reference, scenario.sha256, ",", ["a", "b", "c"], grid)
+    assert Path(path).read_bytes() == reference.read_bytes()
 
 
 @settings(max_examples=60, deadline=None)
