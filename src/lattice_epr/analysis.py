@@ -66,7 +66,6 @@ class DistributionGrid:
     axis1: np.ndarray
     axis2: np.ndarray
     density: np.ndarray
-    kind: str                   # "position" | "momentum"
 
     @property
     def d1(self):
@@ -173,28 +172,18 @@ def joint_position_density(
     with ThreadPoolExecutor(max_workers=min(jobs, len(bounds) - 1)) as pool:
         list(pool.map(block, bounds[:-1], bounds[1:]))  # re-raises failures
     dens /= dens.sum() * step * step
-    return DistributionGrid(axis1=x, axis2=x.copy(), density=dens, kind="position")
+    return DistributionGrid(axis1=x, axis2=x.copy(), density=dens)
 
 
-def joint_momentum_density(
-    state: TwoAtomState, orbital, zones: int = 2, p_grid: np.ndarray | None = None
-) -> DistributionGrid:
+def joint_momentum_density(state: TwoAtomState, orbital, zones: int = 2) -> DistributionGrid:
     """P(p1, p2) = |w~(p1) w~(p2) sum_jl c_jl e^{-i(p1 j + p2 l)}|^2.
 
-    The grid is commensurate with both the Brillouin comb (spacing 2 pi) and
-    the box resolution (spacing 2 pi / N); a custom ``p_grid`` must keep
-    that commensurability.  ``orbital`` is as in joint_position_density.
+    The grid spans ``zones`` Brillouin zones at the box resolution 2 pi / N,
+    so it is commensurate with both the Brillouin comb (spacing 2 pi) and
+    the box.  ``orbital`` is as in joint_position_density.
     """
     n = state.n_sites
-    base = 2.0 * np.pi / n
-    if p_grid is None:
-        m = np.arange(-zones * n // 2, zones * n // 2 + 1)
-        p = m * base
-    else:
-        p = np.asarray(p_grid, dtype=float)
-        ratio = p / base
-        if np.max(np.abs(ratio - np.round(ratio))) > 1e-9:
-            raise GridError("momentum grid must consist of multiples of 2 pi/(N a)")
+    p = np.arange(-zones * n // 2, zones * n // 2 + 1) * (2.0 * np.pi / n)
     wt = orbital.momentum_at(p)                   # (G,)
     phase = np.exp(-1j * np.outer(p, np.arange(n)))  # (G, N)
     dens = np.zeros((len(p), len(p)))
@@ -204,44 +193,29 @@ def joint_momentum_density(
         dens += weight * np.abs(psi) ** 2
     step = float(p[1] - p[0])
     dens /= dens.sum() * step * step
-    return DistributionGrid(axis1=p, axis2=p.copy(), density=dens, kind="momentum")
+    return DistributionGrid(axis1=p, axis2=p.copy(), density=dens)
 
 
-def conditional_density(grid: DistributionGrid, axis: int, value: float) -> Slice1D:
-    """Normalized slice P(. | axis = value) at the nearest grid line."""
-    if axis not in (1, 2):
-        raise DomainError("axis must be 1 or 2")
-    coords = grid.axis1 if axis == 1 else grid.axis2
+def conditional_density(grid: DistributionGrid, value: float) -> Slice1D:
+    """Normalized slice P(x2 | x1 = value) at the nearest grid line."""
+    coords = grid.axis1
     if value < coords.min() - grid.d1 or value > coords.max() + grid.d1:
         raise ConditioningError(f"conditioning value {value} outside the grid")
-    i = int(np.argmin(np.abs(coords - value)))
-    line = grid.density[i, :] if axis == 1 else grid.density[:, i]
-    other = grid.axis2 if axis == 1 else grid.axis1
-    step = float(other[1] - other[0])
-    norm = float(line.sum() * step)
+    line = grid.density[int(np.argmin(np.abs(coords - value)))]
+    norm = float(line.sum() * grid.d2)
     if norm < 1e-12:
         raise ConditioningError("conditioning on a zero-probability value")
-    return Slice1D(x=other.copy(), density=line / norm)
+    return Slice1D(x=grid.axis2.copy(), density=line / norm)
 
 
-def marginal(grid: DistributionGrid, axis: int) -> Slice1D:
-    """Marginal density of axis 1 or 2."""
-    if axis == 1:
-        dens = grid.density.sum(axis=1) * grid.d2
-        x = grid.axis1
-    elif axis == 2:
-        dens = grid.density.sum(axis=0) * grid.d1
-        x = grid.axis2
-    else:
-        raise DomainError("axis must be 1 or 2")
-    step = float(x[1] - x[0])
-    return Slice1D(x=x.copy(), density=dens / (dens.sum() * step))
+def marginal(grid: DistributionGrid) -> Slice1D:
+    """Marginal density of axis 2."""
+    dens = grid.density.sum(axis=0) * grid.d1
+    return Slice1D(x=grid.axis2.copy(), density=dens / (dens.sum() * grid.d2))
 
 
 def sum_momentum_marginal(grid: DistributionGrid) -> Slice1D:
     """Distribution of p1 + p2 from a commensurate joint momentum grid."""
-    if grid.kind != "momentum":
-        raise DomainError("sum-momentum marginal requires a momentum grid")
     step = grid.d1
     g = len(grid.axis1)
     # p1 + p2 index runs over 0 .. 2G-2 with exact registration
@@ -406,7 +380,7 @@ class OptimizeResult:
     on_boundary: bool
 
 
-def optimize_sigma_e(sigma, temperature, lo, hi, tol: float = 1e-4) -> OptimizeResult:
+def optimize_sigma_e(sigma, temperature, lo, hi) -> OptimizeResult:
     """Maximize the closed-form s over the envelope width by golden section.
 
     The objective is unimodal in sigma_E (rising prefactor against a falling
@@ -420,6 +394,7 @@ def optimize_sigma_e(sigma, temperature, lo, hi, tol: float = 1e-4) -> OptimizeR
     def f(se):
         return s_estimate(se, sigma, temperature)
 
+    tol = 1e-4  # bracket width at which the search stops, in a
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a_, b_ = lo, hi
     c = b_ - inv_phi * (b_ - a_)

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 
-from . import __version__, analysis, lattice, pipeline
+from . import __version__, analysis, dipole, lattice, pipeline
 from .errors import LatticeEprError
 from .scenario import Scenario, load_scenario, parse_scenario
 
@@ -227,6 +227,14 @@ def _positive_int(text):
     return value
 
 
+def _warn(message):
+    """Print a regime warning to stderr; the tables are written all the same.
+    A command prints the displacement warning after its tables, so one that
+    fails prints its error line alone."""
+    if message:
+        print(f"warning: {message}", file=sys.stderr)
+
+
 def _cmd_bands(sc: Scenario, writer: _Writer, args):
     model = pipeline.Model(sc)
     spectrum = model.spectrum
@@ -244,14 +252,14 @@ def _cmd_bands(sc: Scenario, writer: _Writer, args):
     writer.table(
         "lattice_summary." + args.format,
         ["quantity", "value"],
-        list(model.lattice_quantities().items()),
+        list(model.quantities("bands").items()),
     )
     return 0
 
 
 def _cmd_diatom(sc: Scenario, writer: _Writer, args):
     model = pipeline.Model(sc)
-    quantities = model.diatom_quantities()
+    quantities = model.quantities("diatom")
     profile = model.profile
     writer.table(
         "dipole_profile." + args.format,
@@ -268,24 +276,24 @@ def _cmd_diatom(sc: Scenario, writer: _Writer, args):
         ["quantity", "value"],
         list(quantities.items()),
     )
+    _warn(dipole.displacement_warning(sc.displacement, sc.units.a))
     return 0
 
 
 def _cmd_distributions(sc: Scenario, writer: _Writer, args):
     model = pipeline.Model(sc)
     state = model.state
-    if state.regime_warning:
-        print(f"warning: {state.regime_warning}", file=sys.stderr)
+    _warn(state.regime_warning)
     orbital = model.wannier0
     pos = analysis.joint_position_density(state, orbital, sc.samples_per_site, jobs=writer.jobs)
     writer.table("position_joint." + args.format, ["x1", "x2", "density"], pos)
     j0 = sc.j0 if sc.j0 is not None else sc.n_sites // 2
-    slice_w = analysis.conditional_density(pos, axis=1, value=float(j0))
+    slice_w = analysis.conditional_density(pos, float(j0))
     del pos  # never hold both full position grids
     pos_g = analysis.joint_position_density(
         state, lattice.GaussianOrbital(model.width.sigma), sc.samples_per_site, jobs=writer.jobs
     )
-    slice_g = analysis.conditional_density(pos_g, axis=1, value=float(j0))
+    slice_g = analysis.conditional_density(pos_g, float(j0))
     writer.table(
         "position_slice." + args.format,
         ["x2", "density_wannier", "density_gaussian"],
@@ -294,13 +302,13 @@ def _cmd_distributions(sc: Scenario, writer: _Writer, args):
 
     mom = analysis.joint_momentum_density(state, orbital, zones=sc.momentum_zones)
     writer.table("momentum_joint." + args.format, ["p1", "p2", "density"], mom)
-    mslice = analysis.conditional_density(mom, axis=1, value=sc.p1_measured)
+    mslice = analysis.conditional_density(mom, sc.p1_measured)
     writer.table(
         "momentum_slice." + args.format,
         ["p2", "density"],
         list(zip(mslice.x, mslice.density)),
     )
-    mmarg = analysis.marginal(mom, axis=2)
+    mmarg = analysis.marginal(mom)
     writer.table(
         "momentum_marginal." + args.format,
         ["p2", "density"],
@@ -312,6 +320,7 @@ def _cmd_distributions(sc: Scenario, writer: _Writer, args):
         ["p_plus", "probability"],
         list(zip(p_plus, probs)),
     )
+    _warn(dipole.displacement_warning(sc.displacement, sc.units.a))
     return 0
 
 
@@ -329,6 +338,7 @@ def _cmd_report(sc: Scenario, writer: _Writer, args):
                 f"{name}: computed={_fmt(value)} reference={_fmt(ref)} "
                 f"rel_diff={_fmt(rel)} tol={_fmt(tol)} -> {verdict}"
             )
+    _warn(dipole.displacement_warning(sc.displacement, sc.units.a))
     return 1 if failures else 0
 
 
@@ -342,10 +352,10 @@ def _cmd_optimize(sc: Scenario, writer: _Writer, args):
 
 
 def _sweep_point(base, path, value):
-    """Summary of one sweep point, ``base.with_param(path, value)``; an
+    """Sweep quantities of one point, ``base.with_param(path, value)``; an
     error names the point."""
     try:
-        return base.with_param(path, value).summary()
+        return base.with_param(path, value).quantities("sweep")
     except LatticeEprError as exc:
         raise type(exc)(f"sweep point {path} = {_fmt(value)}: {exc}") from exc
 
@@ -384,6 +394,7 @@ def _cmd_sweep(sc: Scenario, writer: _Writer, args):
         [value] + [r.get(k) for k in keys] for value, r in zip(values, results)
     ]
     writer.table("sweep." + args.format, [path] + keys, rows)
+    _warn(dipole.displacement_warning(sc.displacement, sc.units.a))
     return 0
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "AtomSpecies",
     "LaserConfig",
     "UnitSystem",
-    "LightShiftResult",
     "recoil_energy",
     "dipole_moment_sq_from_linewidth",
     "saturation_intensity",
@@ -71,22 +70,18 @@ class LaserConfig:
     """A single driving field.
 
     ``detuning`` is the absolute detuning omega - omega_atom in s^-1 (often
-    specified as a multiple of the transition linewidth); ``role`` tags the
-    field as the lattice beam or the dipole-coupling beam.
+    specified as a multiple of the transition linewidth).
     """
 
     intensity: float            # W/m^2
     detuning: float             # s^-1
     wavelength: float           # m
-    role: str = "lattice"       # "lattice" | "coupling"
 
     def __post_init__(self):
         if self.intensity < 0:
             raise DomainError("laser intensity must be non-negative")
         if self.wavelength <= 0:
             raise DomainError("laser wavelength must be positive")
-        if self.role not in ("lattice", "coupling"):
-            raise DomainError(f"unknown laser role {self.role!r}")
 
     @property
     def wavevector(self):
@@ -131,35 +126,22 @@ def saturation_intensity(gamma, wavelength):
     return math.pi * H_PLANCK * C_LIGHT * gamma / (3.0 * wavelength**3)
 
 
-@dataclass(frozen=True)
-class LightShiftResult:
-    """Best-effort AC-Stark lattice depth with its convention annotation."""
-
-    u0: float       # J
-    convention: str
-
-
-def lattice_depth_from_laser(laser: LaserConfig, species: AtomSpecies) -> LightShiftResult:
-    """Two-level light-shift estimate of the lattice depth U0.
+def lattice_depth_from_laser(laser: LaserConfig, species: AtomSpecies) -> float:
+    """Two-level light-shift estimate of the lattice depth U0, in joules.
 
     Uses U0 = hbar Omega^2 / (4 delta) with Omega^2 = gamma^2 I / (2 I_sat).
     A scenario's ``[lattice]`` laser block (intensity and detuning in place
-    of ``U0``) sets U0 through this helper.  This standard chain does not
-    reproduce the depth quoted for the lithium scheme from its quoted
-    intensity and detuning, which is why the builtin example sets U0
-    directly; the result carries its convention as an annotation.
+    of ``U0``) sets U0 through this helper, on the lattice transition.  This
+    standard chain does not reproduce the depth quoted for the lithium scheme
+    from its quoted intensity and detuning, which is why the builtin example
+    sets U0 directly.
     """
     if laser.detuning == 0:
         raise SingularityError("light shift diverges at zero detuning")
-    gamma = species.gamma_lattice if laser.role == "lattice" else species.gamma_coupling
+    gamma = species.gamma_lattice
     i_sat = saturation_intensity(gamma, laser.wavelength)
     rabi_sq = gamma**2 * laser.intensity / (2.0 * i_sat)
-    u0 = HBAR * rabi_sq / (4.0 * laser.detuning)
-    return LightShiftResult(
-        u0=u0,
-        convention="two-level AC-Stark, U0 = hbar Omega^2/(4 delta), "
-        "Omega^2 = gamma^2 I/(2 I_sat)",
-    )
+    return HBAR * rabi_sq / (4.0 * laser.detuning)
 
 
 class UnitSystem:

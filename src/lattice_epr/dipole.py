@@ -10,7 +10,6 @@ and the laser wavevector.  Same-site atoms (dj = 0) have theta = pi/2.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ __all__ = [
     "polarizability",
     "v_dd_nearest",
     "interaction_profile",
+    "displacement_warning",
     "coupling_for_nearest_value",
 ]
 
@@ -127,12 +127,6 @@ def interaction_profile(coupling: DipoleCoupling, a, dj_max: int = 4) -> Interac
         raise DomainError("dj_max must be at least 1")
     if a <= 0:
         raise DomainError("lattice constant must be positive")
-    if coupling.displacement > a / 4.0:
-        warnings.warn(
-            "tube displacement l > a/4: the nearest-site minimum is no longer "
-            "sharply dominant",
-            stacklevel=2,
-        )
     k = coupling.wavevector
     dj = np.arange(dj_max + 1)
     r = np.hypot(coupling.displacement, dj * a)
@@ -141,6 +135,14 @@ def interaction_profile(coupling: DipoleCoupling, a, dj_max: int = 4) -> Interac
         [-coupling.v_c * f_theta(k * ri, ti) for ri, ti in zip(r, theta)]
     )
     return InteractionProfile(offsets=dj, separations=r, angles=theta, values=values)
+
+
+def displacement_warning(displacement, a) -> str | None:
+    """Why a profile at tube displacement l and lattice constant a is outside
+    the model's regime, or None."""
+    if displacement > a / 4.0:
+        return "tube displacement l > a/4: the nearest-site minimum is no longer sharply dominant"
+    return None
 
 
 def coupling_for_nearest_value(v_dd0, lambda_c, displacement, a):
@@ -153,8 +155,7 @@ def coupling_for_nearest_value(v_dd0, lambda_c, displacement, a):
     if v_dd0 >= 0:
         raise DomainError("nearest-site dipole-dipole energy must be negative")
     unit = DipoleCoupling(v_c=1.0, lambda_c=lambda_c, displacement=displacement)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with np.errstate(all="ignore"):  # a vanishing or non-finite kernel fails below
         base = interaction_profile(unit, a, dj_max=1).value(0)
     if base == 0 or not math.isfinite(base):
         raise SingularityError(f"nearest-site kernel is {base} at this tube displacement")

@@ -127,7 +127,6 @@ class HoppingResult:
     bandwidth: float        # E_rec
     bandwidth_ratio: float  # bandwidth / (4 |v_hop|)
     tight_binding_rms: float  # rms residual of E0 vs const + 2 v_hop cos(qa)
-    degenerate_limit: bool  # True for u0 == 0 (no tight-binding meaning)
 
 
 def require_band_gap(spectrum: BlochSpectrum):
@@ -170,11 +169,7 @@ def hopping_exact(spectrum: BlochSpectrum) -> HoppingResult:
     v_hop, bandwidth, rms = cosine_band_fit(spectrum.q, spectrum.lowest_band)
     ratio = bandwidth / (4.0 * abs(v_hop)) if v_hop != 0 else math.inf
     return HoppingResult(
-        v_hop=v_hop,
-        bandwidth=bandwidth,
-        bandwidth_ratio=ratio,
-        tight_binding_rms=rms,
-        degenerate_limit=spectrum.config.u0 == 0.0,
+        v_hop=v_hop, bandwidth=bandwidth, bandwidth_ratio=ratio, tight_binding_rms=rms
     )
 
 

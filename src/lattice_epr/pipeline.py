@@ -30,33 +30,69 @@ _GOLDEN_REFS = {
     "s_100nK": (11.0, 0.10),
 }
 
-# quantities of the bands and diatom tables that the summary leaves out
-_TABLE_ONLY = (
-    "bandwidth_ratio",
-    "fit_residual_rms",
-    "gap_min",
-    "m_eff_2at_ratio_fit",
-    "m_eff_2at_ratio_curv",
-)
 
-_REPORT_ORDER = (
-    "U0",
-    "v_hop",
-    "bandwidth",
-    "hopping_approx",
-    "approx_vs_4vhop",
-    "sigma",
-    "sigma_literal",
-    "m_eff_ratio",
-    "v_dd0",
-    "v2at_pert",
-    "v2at_fit",
-    "bandwidth_2at",
-    "mass_ratio_2at",
-    "dx_minus",
-    "s_10nK",
-    "s_100nK",
-)
+def _envelope(value):
+    """A row's value, left out where the scenario sets no envelope width."""
+    return lambda m, q: None if m.scenario.sigma_e is None else value(m, q)
+
+
+def _s_at(nanokelvin):
+    """The closed-form s at ``nanokelvin`` for the scenario's sigma_E, or for
+    6 a where it sets none."""
+
+    def value(m, q):
+        sc = m.scenario
+        sigma_e = sc.sigma_e if sc.sigma_e is not None else 6.0
+        t = nanokelvin * sc.units.temperature_from_si(1e-9)
+        return analysis.s_estimate(sigma_e, q["sigma"], t)
+
+    return value
+
+
+# Every scalar of the bands, diatom, report and sweep tables: name -> (the
+# tables it appears in, its value from the model and the earlier quantities
+# of the same table).  A value of None leaves the row out.  Each table lists
+# its rows in this order, and sweep sorts its columns.
+_QUANTITIES = {
+    "U0": ("bands report sweep", lambda m, q: m.scenario.u0),
+    "v_hop": ("bands diatom report sweep", lambda m, q: m.hopping.v_hop),
+    "bandwidth": ("bands report sweep", lambda m, q: m.hopping.bandwidth),
+    "bandwidth_ratio": ("bands", lambda m, q: m.hopping.bandwidth_ratio),
+    "hopping_approx": (
+        "bands report sweep", lambda m, q: lattice.hopping_approx(m.scenario.u0).value),
+    "approx_vs_4vhop": ("report", lambda m, q: q["hopping_approx"] / (4.0 * abs(q["v_hop"]))),
+    "sigma": ("bands report sweep", lambda m, q: m.width.sigma),
+    "sigma_literal": ("bands report sweep", lambda m, q: m.width.sigma_literal),
+    "m_eff_ratio": (
+        "bands report sweep", lambda m, q: lattice.effective_mass_single(q["v_hop"])),
+    "v_dd0": ("diatom report sweep", lambda m, q: m.profile.value(0)),
+    "v2at_pert": (
+        "diatom report sweep", lambda m, q: diatom.hopping_two_atom(q["v_hop"], q["v_dd0"])),
+    "v2at_fit": ("diatom report sweep", lambda m, q: m.band.v_hop_fit),
+    "bandwidth_2at": ("diatom report sweep", lambda m, q: m.band.bandwidth),
+    "fit_residual_rms": ("diatom", lambda m, q: m.band.fit_residual_rms),
+    "gap_min": ("diatom", lambda m, q: m.band.gap_min),
+    "mass_ratio_2at": ("diatom report sweep", lambda m, q: diatom.effective_mass_ratio_two_atom(
+        q["v_hop"], q["v_dd0"])),
+    "m_eff_2at_ratio_fit": ("diatom", lambda m, q: m.band.m_eff_ratio_fit),
+    "m_eff_2at_ratio_curv": ("diatom", lambda m, q: m.band.m_eff_ratio_curvature),
+    "dx_minus": ("report sweep", lambda m, q: analysis.delta_x_minus(
+        q["sigma"], q["v_hop"], q["v_dd0"])),
+    "s_10nK": ("report", _s_at(10.0)),
+    "s_100nK": ("report", _s_at(100.0)),
+    "temperature": ("sweep", lambda m, q: m.scenario.temperature),
+    "sigma_E": ("report sweep", lambda m, q: m.scenario.sigma_e),
+    "dp_plus_prep": ("report sweep", _envelope(lambda m, q: analysis.delta_p_plus_prep(
+        m.scenario.sigma_e, m.scenario.temperature))),
+    "s": ("report sweep", _envelope(lambda m, q: analysis.s_parameter(
+        q["dx_minus"], q["dp_plus_prep"]))),
+    "s_estimate": ("sweep", _envelope(lambda m, q: analysis.s_estimate(
+        m.scenario.sigma_e, q["sigma"], m.scenario.temperature))),
+    "pair_fraction": (
+        "report sweep", _envelope(lambda m, q: analysis.pair_fraction(m.scenario.sigma_e))),
+    "dp_plus_thermal": ("report sweep", lambda m, q: analysis.delta_p_plus_thermal(
+        q["v_dd0"], q["v_hop"], m.scenario.temperature) if m.scenario.temperature > 0 else None),
+}
 
 
 # per sweep path (scenario.SWEEP_PARAMS), the stages its value cannot reach,
@@ -209,64 +245,17 @@ class Model:
             )
         raise ScenarioError(f"unknown state mode {sc.state_mode!r}")
 
-    def lattice_quantities(self) -> dict:
-        """Scalars of the single-atom lattice, in table order."""
-        sc, hop, width = self.scenario, self.hopping, self.width
-        return {
-            "U0": sc.u0,
-            "v_hop": hop.v_hop,
-            "bandwidth": hop.bandwidth,
-            "bandwidth_ratio": hop.bandwidth_ratio,
-            "hopping_approx": lattice.hopping_approx(sc.u0).value,
-            "sigma": width.sigma,
-            "sigma_literal": width.sigma_literal,
-            "m_eff_ratio": lattice.effective_mass_single(hop.v_hop),
-        }
-
-    def diatom_quantities(self) -> dict:
-        """Scalars of the bound two-atom band, in table order."""
-        v_hop = self.hopping.v_hop
-        v_dd0 = self.profile.value(0)
-        band = self.band
-        return {
-            "v_hop": v_hop,
-            "v_dd0": v_dd0,
-            "v2at_pert": diatom.hopping_two_atom(v_hop, v_dd0),
-            "v2at_fit": band.v_hop_fit,
-            "bandwidth_2at": band.bandwidth,
-            "fit_residual_rms": band.fit_residual_rms,
-            "gap_min": band.gap_min,
-            "mass_ratio_2at": diatom.effective_mass_ratio_two_atom(v_hop, v_dd0),
-            "m_eff_2at_ratio_fit": band.m_eff_ratio_fit,
-            "m_eff_2at_ratio_curv": band.m_eff_ratio_curvature,
-        }
-
-    def summary(self) -> dict:
-        """Flat dictionary of the scenario's derived scalars (internal units)."""
-        sc = self.scenario
-        out = {**self.lattice_quantities(), **self.diatom_quantities()}
-        for name in _TABLE_ONLY:
-            del out[name]
-        sigma = out["sigma"]
-        dx = analysis.delta_x_minus(sigma, out["v_hop"], out["v_dd0"])
-        out["dx_minus"] = dx
-        out["temperature"] = sc.temperature
-        if sc.sigma_e is not None:
-            dp = analysis.delta_p_plus_prep(sc.sigma_e, sc.temperature)
-            out.update(
-                {
-                    "sigma_E": sc.sigma_e,
-                    "dp_plus_prep": dp,
-                    "s": analysis.s_parameter(dx, dp),
-                    "s_estimate": analysis.s_estimate(sc.sigma_e, sigma, sc.temperature),
-                    "pair_fraction": analysis.pair_fraction(sc.sigma_e),
-                }
-            )
-        if sc.temperature > 0:
-            out["dp_plus_thermal"] = analysis.delta_p_plus_thermal(
-                out["v_dd0"], out["v_hop"], sc.temperature
-            )
-        return out
+    def quantities(self, table) -> dict:
+        """The scalars of ``table`` ("bands", "diatom", "report" or "sweep")
+        in table order, in internal units.  Only the stages that its rows
+        read are built."""
+        q = {}
+        for name, (tables, value) in _QUANTITIES.items():
+            if table in tables.split():
+                v = value(self, q)
+                if v is not None:
+                    q[name] = v
+        return q
 
     def report_rows(self) -> list:
         """Comparison table rows: (name, computed, reference, rel_diff,
@@ -274,26 +263,15 @@ class Model:
 
         Reference columns are filled only for the worked lithium scheme.
         """
-        sc = self.scenario
-        q = self.summary()
-        golden = is_golden_scenario(sc)
-        nk = sc.units.temperature_from_si(1e-9)
-        sigma_e = sc.sigma_e if sc.sigma_e is not None else 6.0
-        q["s_10nK"] = analysis.s_estimate(sigma_e, q["sigma"], 10.0 * nk)
-        q["s_100nK"] = analysis.s_estimate(sigma_e, q["sigma"], 100.0 * nk)
-        q["approx_vs_4vhop"] = q["hopping_approx"] / (4.0 * abs(q["v_hop"]))
+        golden = is_golden_scenario(self.scenario)
         rows = []
-        for name in _REPORT_ORDER:
-            value = q[name]
+        for name, value in self.quantities("report").items():
             ref = tol = rel = verdict = None
             if golden and name in _GOLDEN_REFS:
                 ref, tol = _GOLDEN_REFS[name]
                 rel = abs(value - ref) / abs(ref)
                 verdict = "pass" if rel <= tol else "fail"
             rows.append((name, value, ref, rel, tol, verdict))
-        for name in ("sigma_E", "dp_plus_prep", "s", "pair_fraction", "dp_plus_thermal"):
-            if name in q:
-                rows.append((name, q[name], None, None, None, None))
         return rows
 
     def optimizer_rows(self) -> list:

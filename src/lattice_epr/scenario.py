@@ -275,7 +275,7 @@ def _laser(fields, role, key, wavelength):
         return None
     if intensity is None or detuning is None:
         raise ScenarioError(f"{role} laser block needs both intensity and detuning")
-    return LaserConfig(intensity=intensity, detuning=detuning, wavelength=wavelength, role=role)
+    return LaserConfig(intensity=intensity, detuning=detuning, wavelength=wavelength)
 
 
 def _species(cp):
@@ -331,7 +331,7 @@ def _parse(text):
     laser = fields["lattice_laser"] = _laser(fields, "lattice", "U0", units.lambda_lattice)
     fields["u0_direct"] = laser is None
     if laser is not None:
-        u0 = units.energy_from_si(lattice_depth_from_laser(laser, species).u0)
+        u0 = units.energy_from_si(lattice_depth_from_laser(laser, species))
         fields["u0"] = _check("U0 of the laser block", u0, _KEYS["lattice"]["U0"][3], f"{u0} Erec")
     fields["coupling_laser"] = None
     if cp.has_section("coupling") and cp["coupling"]:

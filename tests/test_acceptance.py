@@ -63,7 +63,7 @@ def test_harmonic_width_value():
 def test_conditional_position_slice_width(li_ground_32, li_wannier):
     sigma = lattice.wannier_gaussian_width(U0_LI).sigma
     grid = analysis.joint_position_density(li_ground_32, li_wannier, 32)
-    sl = analysis.conditional_density(grid, axis=1, value=16.5)
+    sl = analysis.conditional_density(grid, 16.5)
     pm = analysis.peak_metrics(sl.x, sl.density)
     assert pm.hwhm / analysis.GAUSS_HWHM == pytest.approx(sigma, rel=0.15)
 
@@ -130,8 +130,8 @@ def test_distribution_normalizations(li_ground_32, li_wannier):
     mom = analysis.joint_momentum_density(li_ground_32, li_wannier, zones=2)
     assert pos.total() == pytest.approx(1.0, abs=1e-6)
     assert mom.total() == pytest.approx(1.0, abs=1e-6)
-    for grid, axis in ((pos, 1), (pos, 2), (mom, 1), (mom, 2)):
-        assert analysis.marginal(grid, axis).total() == pytest.approx(1.0, abs=1e-6)
+    for grid in (pos, mom):
+        assert analysis.marginal(grid).total() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fourier_consistency(li_ground_32, li_wannier):
@@ -193,7 +193,7 @@ def test_intensity_conversions_run_and_are_logged_only(capsys):
     )
     shift = core.lattice_depth_from_laser(lattice_beam, species)
     units = core.UnitSystem(species)
-    u0 = units.energy_from_si(shift.u0)
+    u0 = units.energy_from_si(shift)
     mu_sq = core.dipole_moment_sq_from_linewidth(
         species.gamma_coupling, species.omega_coupling
     )

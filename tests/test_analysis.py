@@ -131,13 +131,6 @@ def test_momentum_density_normalizes(small_ground, li_wannier):
     assert grid.total() == pytest.approx(1.0, abs=1e-6)
 
 
-def test_momentum_density_incommensurate_grid(small_ground, li_wannier):
-    with pytest.raises(GridError):
-        analysis.joint_momentum_density(
-            small_ground, li_wannier, p_grid=np.linspace(-1.0, 1.0, 7)
-        )
-
-
 def test_momentum_matches_fourier_transform_of_position_amplitude(
     small_ground, li_wannier
 ):
@@ -161,21 +154,18 @@ def test_momentum_matches_fourier_transform_of_position_amplitude(
 
 def test_marginals_normalize_and_match_direct_sum(small_ground, li_wannier):
     grid = analysis.joint_momentum_density(small_ground, li_wannier, zones=2)
-    for axis in (1, 2):
-        m = analysis.marginal(grid, axis)
-        assert m.total() == pytest.approx(1.0, abs=1e-8)
-    direct = grid.density.sum(axis=1) * grid.d2
-    assert np.allclose(analysis.marginal(grid, 1).density, direct, atol=1e-12)
+    m = analysis.marginal(grid)
+    assert m.total() == pytest.approx(1.0, abs=1e-8)
+    direct = grid.density.sum(axis=0) * grid.d1
+    assert np.allclose(m.density, direct, atol=1e-12)
 
 
 def test_conditional_density(small_ground, li_wannier):
     grid = analysis.joint_position_density(small_ground, li_wannier, 32)
-    sl = analysis.conditional_density(grid, axis=1, value=8.5)
+    sl = analysis.conditional_density(grid, 8.5)
     assert sl.total() == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(ConditioningError):
-        analysis.conditional_density(grid, axis=1, value=1e4)
-    with pytest.raises(DomainError):
-        analysis.conditional_density(grid, axis=3, value=0.0)
+        analysis.conditional_density(grid, 1e4)
 
 
 def test_sum_momentum_marginal_registration():
@@ -184,7 +174,7 @@ def test_sum_momentum_marginal_registration():
     dens = np.zeros((9, 9))
     dens[2, 6] = 1.0
     dens[6, 2] = 1.0
-    grid = analysis.DistributionGrid(axis1=p, axis2=p.copy(), density=dens, kind="momentum")
+    grid = analysis.DistributionGrid(axis1=p, axis2=p.copy(), density=dens)
     marg = analysis.sum_momentum_marginal(grid)
     i = int(np.argmax(marg.density))
     assert marg.x[i] == pytest.approx(0.0)

@@ -293,7 +293,7 @@ _grid_values = st.one_of(
 def test_grid_table_rounds_a_decimal_tie_half_to_even(tmp_path):
     grid = DistributionGrid(
         axis1=np.array([0.5]), axis2=np.array([1.5]),
-        density=np.array([[1234567890.125]]), kind="position",
+        density=np.array([[1234567890.125]]),
     )
     scenario = types.SimpleNamespace(sha256="ab" * 32)
     path = _Writer(str(tmp_path), scenario, ",").table("grid", ["a", "b", "c"], grid)
@@ -317,7 +317,7 @@ def test_grid_table_matches_format_over_every_layout(tmp_path):
     density[-11:, 0] = np.negative(dotted)
     grid = DistributionGrid(
         axis1=np.arange(len(density)) - 661.5, axis2=np.arange(1.0, 13.0),
-        density=density, kind="position",
+        density=density,
     )
     scenario = types.SimpleNamespace(sha256="01" * 32)
     path = _Writer(str(tmp_path), scenario, ",", 2).table("grid", ["a", "b", "c"], grid)
@@ -338,7 +338,7 @@ def test_grid_table_matches_row_writer(delimiter, axis1, axis2, data, jobs):
     density = data.draw(
         hnp.arrays(np.float64, (len(axis1), len(axis2)), elements=_grid_values)
     )
-    grid = DistributionGrid(axis1=axis1, axis2=axis2, density=density, kind="position")
+    grid = DistributionGrid(axis1=axis1, axis2=axis2, density=density)
     scenario = types.SimpleNamespace(sha256="ab" * 32)
     columns = ["x1", "x2", "density"]
     with tempfile.TemporaryDirectory() as tmp:
@@ -370,7 +370,7 @@ def test_grid_table_leaves_only_ties_and_special_values_to_format(tmp_path, monk
 
     # negative integer labels, so no label equals a density value
     axis1, axis2 = -1.0 - np.arange(40), -1.0 - np.arange(50)
-    grid = DistributionGrid(axis1=axis1, axis2=axis2, density=density, kind="position")
+    grid = DistributionGrid(axis1=axis1, axis2=axis2, density=density)
     scenario = types.SimpleNamespace(sha256="cd" * 32)
     reference = tmp_path / "reference"
     _write_grid_reference(reference, scenario.sha256, ",", ["a", "b", "c"], grid)
@@ -390,7 +390,7 @@ GRID_WRITE_BUDGET_BYTES = 8_000_000
 def test_grid_table_memory_stays_within_a_fixed_budget(tmp_path):
     axis = np.arange(1024) / 32.0
     density = np.random.default_rng(3).random((1024, 1024)) * 1e-3
-    grid = DistributionGrid(axis1=axis, axis2=axis.copy(), density=density, kind="position")
+    grid = DistributionGrid(axis1=axis, axis2=axis.copy(), density=density)
     writer = _Writer(str(tmp_path), types.SimpleNamespace(sha256="ef" * 32), ",", 2)
     tracemalloc.start()
     try:
@@ -450,3 +450,37 @@ def test_distributions_prints_the_regime_warning(temperature, warned, tmp_path, 
         assert re.fullmatch(r"warning: bound-branch occupancy 0\.\d+ < 0\.9: .*\n", err)
     else:
         assert err == ""
+
+
+DISPLACEMENT_WARNING = (
+    "warning: tube displacement l > a/4: the nearest-site minimum is no longer "
+    "sharply dominant\n"
+)
+# a/4 = 40.375 nm for the lithium lattice
+WIDE_TUBES = {
+    "V_dd": TOY.replace("displacement = 40 nm", "displacement = 60 nm"),
+    "laser": TOY.replace(
+        "V_dd = -2.16 Erec", "intensity = 1000 W/cm^2\ndetuning = -1e3 gamma_C"
+    ).replace("displacement = 40 nm", "displacement = 200 nm"),
+}
+
+
+@pytest.mark.parametrize("command, jobs", [
+    ("diatom", "1"), ("report", "1"), ("distributions", "2"), ("sweep", "1"), ("sweep", "2"),
+])
+@pytest.mark.parametrize("coupling", sorted(WIDE_TUBES))
+def test_wide_tube_displacement_prints_one_warning_line(
+    coupling, command, jobs, tmp_path, capsys
+):
+    path = tmp_path / "wide.ini"
+    path.write_text(WIDE_TUBES[coupling] + "\n[sweep]\nparameter = state.T\nvalues = 5 nK, 10 nK\n")
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out), "--jobs", jobs]) == 0
+    assert capsys.readouterr().err == DISPLACEMENT_WARNING
+    assert list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["bands", "diatom", "report", "optimize"])
+def test_lithium_example_prints_no_warning(command, tmp_path, capsys):
+    assert main([command, "--scenario", "lithium-example", "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""

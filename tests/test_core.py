@@ -37,8 +37,6 @@ def test_species_transition_frequencies():
 def test_laser_config_validation():
     with pytest.raises(DomainError):
         core.LaserConfig(intensity=-1.0, detuning=1e8, wavelength=671e-9)
-    with pytest.raises(DomainError):
-        core.LaserConfig(intensity=1.0, detuning=1e8, wavelength=671e-9, role="probe")
     laser = core.LaserConfig(intensity=1.0, detuning=1e8, wavelength=671e-9)
     assert laser.wavevector == pytest.approx(2.0 * math.pi / 671e-9)
 
@@ -59,11 +57,13 @@ def test_lithium_coupling_line_saturation_intensity():
     assert i_sat == pytest.approx(25.5, rel=0.02)
 
 
-def test_lattice_depth_from_laser_is_annotated():
+def test_lattice_depth_from_laser_is_the_two_level_light_shift():
     laser = core.LaserConfig(intensity=3500.0, detuning=50 * 1.2e6, wavelength=323e-9)
-    res = core.lattice_depth_from_laser(laser, core.LITHIUM)
-    assert res.u0 > 0
-    assert "AC-Stark" in res.convention
+    u0 = core.lattice_depth_from_laser(laser, core.LITHIUM)
+    # U0 = hbar Omega^2 / (4 delta), Omega^2 = gamma^2 I / (2 I_sat), on the lattice line
+    i_sat = core.saturation_intensity(1.2e6, 323e-9)
+    assert u0 == pytest.approx(HBAR * 1.2e6**2 * 3500.0 / (2.0 * i_sat) / (4.0 * 50 * 1.2e6))
+    assert u0 > 0
 
 
 def test_lattice_depth_zero_detuning():

@@ -101,10 +101,11 @@ def test_interaction_profile_geometry():
     assert prof.angles[1] == pytest.approx(math.acos(A_LATT / r1))
 
 
-def test_interaction_profile_warns_for_large_displacement():
-    coupling = dipole.DipoleCoupling(v_c=1.0, lambda_c=LAMBDA_C, displacement=A_LATT / 2.0)
-    with pytest.warns(UserWarning):
-        dipole.interaction_profile(coupling, A_LATT, dj_max=2)
+def test_displacement_warning_beyond_a_quarter_of_the_lattice_constant():
+    assert dipole.displacement_warning(L_TUBE, A_LATT) is None
+    assert dipole.displacement_warning(A_LATT / 4.0, A_LATT) is None
+    message = dipole.displacement_warning(A_LATT / 2.0, A_LATT)
+    assert message.startswith("tube displacement l > a/4: ")
 
 
 def test_nearest_site_value_vs_near_zone_formula():

@@ -28,8 +28,6 @@ def test_free_lattice_band_is_folded_free_dispersion():
     spectrum = lattice.band_structure(cfg)
     expected = spectrum.q**2 / math.pi**2
     assert np.allclose(spectrum.lowest_band, expected, atol=1e-12)
-    hop = lattice.hopping_exact(spectrum)
-    assert hop.degenerate_limit
 
 
 def test_free_lattice_wannier_gauge_undefined():

@@ -4,10 +4,12 @@ stages their parameter cannot reach, and sweep errors that name their
 point."""
 
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
-from lattice_epr import cli, diatom, lattice, pipeline
+from lattice_epr import cli, diatom, dipole, lattice, pipeline
 from lattice_epr.cli import _fmt, _sweep_point, main
 from lattice_epr.errors import DegenerateBandError, LatticeEprError, SingularityError
 from lattice_epr.scenario import LITHIUM_EXAMPLE, SWEEP_PARAMS, load_scenario, parse_scenario
@@ -199,6 +201,41 @@ def test_commands_that_write_no_orbital_never_build_one(
     assert list(out.iterdir())
 
 
+def test_bands_never_builds_the_dipole_profile(tmp_path, monkeypatch, capsys):
+    def no_profile(*args, **kwargs):
+        raise SingularityError("the dipole profile was built")
+
+    monkeypatch.setattr(dipole, "interaction_profile", no_profile)
+    rc, out = run("bands", TOY, tmp_path, "--jobs", "1")
+    assert rc == 0, capsys.readouterr().err
+    assert table_hashes(out) == TABLE_SHA256["toy", "bands"]
+
+
+def test_report_evaluates_its_rows_in_table_order(tmp_path, capsys):
+    # s_10nK precedes dp_plus_prep, so the error names 10 nK, not the
+    # scenario's 100 nK (0.0076442 E_rec)
+    text = TOY16.replace("T = 10 nK", "T = 100 nK").replace("sigma_E = 2 a", "sigma_E = 1e-300 a")
+    rc, out = run("report", text, tmp_path, "--jobs", "1")
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: pi^2 sigma_E^2 T is outside the float range at "
+        "sigma_E = 1e-300 a, T = 0.00076442 E_rec\n"
+    )
+    assert not out.exists() or not list(out.iterdir())
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_lists_every_quantity_with_its_tables():
+    section = README.read_text().split("## Scalar outputs\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([a-z, ]+) \|", section, re.M)
+    assert rows == [
+        (name, ", ".join(tables.split()))
+        for name, (tables, _) in pipeline._QUANTITIES.items()
+    ]
+
+
 def test_thermal_distributions_solve_each_block_once(tmp_path, monkeypatch):
     calls = []
     block = diatom.TwoAtomHamiltonian.block
@@ -249,7 +286,7 @@ def test_every_sweep_path_has_its_shared_stages():
 
 def outcome(model):
     try:
-        return model.summary()
+        return model.quantities("sweep")
     except LatticeEprError as exc:
         return type(exc), str(exc)
 
