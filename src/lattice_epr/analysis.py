@@ -380,44 +380,24 @@ class OptimizeResult:
     on_boundary: bool
 
 
-def optimize_sigma_e(sigma, temperature, lo, hi) -> OptimizeResult:
-    """Maximize the closed-form s over the envelope width by golden section.
+# root of sinh 2y = 4y, where tanh(y) / sqrt(y) is largest
+_Y_OPT = 1.0886594924826534
 
-    The objective is unimodal in sigma_E (rising prefactor against a falling
-    tanh); a boundary solution is flagged rather than treated as an error.
+
+def optimize_sigma_e(sigma, temperature, lo, hi) -> OptimizeResult:
+    """Maximize the closed-form s over the envelope width, in closed form.
+
+    With y = 1 / (pi^2 sigma_E^2 T), s is a constant times tanh(y) / sqrt(y),
+    whose one maximum is at y = _Y_OPT; T = 0 has no maximum (s grows with
+    sigma_E).  The optimum is clipped to [lo, hi], and on_boundary says so.
     """
     if not 0 < lo < hi:
         raise DomainError("bounds must satisfy 0 < lo < hi")
     if temperature < 0:
         raise DomainError("temperature must be non-negative")
-
-    def f(se):
-        return s_estimate(se, sigma, temperature)
-
-    tol = 1e-4  # bracket width at which the search stops, in a
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a_, b_ = lo, hi
-    c = b_ - inv_phi * (b_ - a_)
-    d = a_ + inv_phi * (b_ - a_)
-    fc, fd = f(c), f(d)
-    while b_ - a_ > tol:
-        if fc > fd:
-            b_, d, fd = d, c, fc
-            c = b_ - inv_phi * (b_ - a_)
-            fc = f(c)
-        else:
-            a_, c, fc = c, d, fd
-            d = a_ + inv_phi * (b_ - a_)
-            fd = f(d)
-    x = (a_ + b_) / 2.0
-    boundary = x - lo < 5.0 * tol or hi - x < 5.0 * tol
-    # boundary refinement: compare against the endpoints explicitly
-    best_x, best_s = x, f(x)
-    for xe in (lo, hi):
-        fe = f(xe)
-        if fe > best_s:
-            best_x, best_s, boundary = xe, fe, True
-    return OptimizeResult(sigma_e=best_x, s=best_s, on_boundary=boundary)
+    best = 1.0 / (math.pi * math.sqrt(_Y_OPT * temperature)) if temperature else math.inf
+    clipped = min(max(best, lo), hi)
+    return OptimizeResult(clipped, s_estimate(clipped, sigma, temperature), clipped != best)
 
 
 def pair_fraction(sigma_e):

@@ -143,8 +143,6 @@ class TwoAtomState:
 
     weights: np.ndarray          # (M,)
     amplitudes: np.ndarray       # (M, N, N), complex
-    temperature: float | None = None
-    sigma_e: float | None = None
     bound_occupancy: float | None = None
     regime_warning: str | None = None
 
@@ -270,8 +268,11 @@ def effective_mass_ratio_two_atom(v_hop, v_dd):
 def _envelope(n, sigma_e, j0, coord):
     """Gaussian amplitude envelope exp(-u^2 / (2 sigma_E^2)) with minimal-image
     offset u = coord - j0 (coord in units of a)."""
+    if sigma_e != 0 and sigma_e**2 == 0:  # sigma_E^2 underflows
+        raise DomainError(f"sigma_E = {sigma_e:g} a is too narrow for float arithmetic")
     u = (coord - j0 + n / 2.0) % n - n / 2.0
-    return np.exp(-(u**2) / (2.0 * sigma_e**2))
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 far from a narrow envelope
+        return np.exp(-(u**2) / (2.0 * sigma_e**2))
 
 
 def envelope_state(n_sites: int, sigma_e: float, j0: int | None = None) -> TwoAtomState:
@@ -289,7 +290,7 @@ def envelope_state(n_sites: int, sigma_e: float, j0: int | None = None) -> TwoAt
     amp = _envelope(n_sites, sigma_e, j0, np.arange(n_sites, dtype=float))  # all 1 at inf
     amp /= math.sqrt(float(np.sum(amp**2)))
     c = np.diag(amp).astype(complex)
-    return TwoAtomState(weights=np.ones(1), amplitudes=c[None], sigma_e=sigma_e)
+    return TwoAtomState(weights=np.ones(1), amplitudes=c[None])
 
 
 def thermal_diatom_state(
@@ -342,8 +343,6 @@ def thermal_diatom_state(
     return TwoAtomState(
         weights=weights,
         amplitudes=amplitudes,
-        temperature=temperature,
-        sigma_e=sigma_e,
         bound_occupancy=occupancy,
         regime_warning=warning,
     )

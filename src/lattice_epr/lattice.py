@@ -73,11 +73,7 @@ class BlochSpectrum:
     config: LatticeConfig
     q: np.ndarray                # (N,) quasimomenta in 1/a
     energies: np.ndarray         # (N, 3) in E_rec
-    coefficients: np.ndarray     # (N, 2M+1, 3), real
-
-    @property
-    def n_sites(self):
-        return self.config.n_sites
+    coefficients: np.ndarray     # (N, 2M+1), real
 
     @property
     def lowest_band(self):
@@ -94,7 +90,7 @@ def _bloch_matrix(q, u0, cutoff):
 
 def band_structure(cfg: LatticeConfig) -> BlochSpectrum:
     """Diagonalize the plane-wave lattice Hamiltonian on the full q grid and
-    keep its three lowest bands.
+    keep its three lowest bands' energies and the lowest band's coefficients.
 
     Raises ConvergenceError if doubling the cutoff moves the lowest band by
     more than 1e-8 E_rec at the zone center or edge.
@@ -103,11 +99,11 @@ def band_structure(cfg: LatticeConfig) -> BlochSpectrum:
     m = cfg.cutoff
     q = 2.0 * np.pi * np.arange(-n // 2, n // 2) / n
     energies = np.empty((n, 3))
-    coeffs = np.empty((n, 2 * m + 1, 3))
+    coeffs = np.empty((n, 2 * m + 1))
     for i, qi in enumerate(q):
         w, v = np.linalg.eigh(_bloch_matrix(qi, cfg.u0, m))
         energies[i] = w[:3]
-        coeffs[i] = v[:, :3]
+        coeffs[i] = v[:, 0]
     for qi in (0.0, -np.pi):
         e_m = np.linalg.eigvalsh(_bloch_matrix(qi, cfg.u0, m))[0]
         e_2m = np.linalg.eigvalsh(_bloch_matrix(qi, cfg.u0, 2 * m))[0]
@@ -280,7 +276,7 @@ def wannier(spectrum: BlochSpectrum, site: int = 0) -> WannierState:
     center0 = 0.5
     w = np.zeros(n * ppa, dtype=complex)
     for i, qi in enumerate(spectrum.q):
-        c = spectrum.coefficients[i, :, 0]
+        c = spectrum.coefficients[i]
         # Bloch function on the grid and its value at the site-0 well center
         phases = np.exp(1j * np.outer(x, qi + 2.0 * np.pi * s))
         phi = phases @ c

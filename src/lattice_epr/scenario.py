@@ -183,7 +183,6 @@ class Scenario:
     units: UnitSystem
     lambda_lattice: float                 # m
     u0: float                             # E_rec
-    u0_direct: bool
     lattice_laser: LaserConfig | None
     n_sites: int
     cutoff: int
@@ -329,7 +328,6 @@ def _parse(text):
     fields["lambda_coupling"] = fields["lambda_coupling"] or species.lambda_coupling
 
     laser = fields["lattice_laser"] = _laser(fields, "lattice", "U0", units.lambda_lattice)
-    fields["u0_direct"] = laser is None
     if laser is not None:
         u0 = units.energy_from_si(lattice_depth_from_laser(laser, species))
         fields["u0"] = _check("U0 of the laser block", u0, _KEYS["lattice"]["U0"][3], f"{u0} Erec")

@@ -294,6 +294,27 @@ def test_optimizer_flags_boundary():
     assert res.sigma_e == pytest.approx(30.0)
 
 
+def test_optimum_constant_is_the_root_of_sinh_2y_equals_4y():
+    y = analysis._Y_OPT
+    two_ulp = 2.0 * math.ulp(y)
+    assert math.sinh(2.0 * (y - two_ulp)) < 4.0 * (y - two_ulp)
+    assert math.sinh(2.0 * (y + two_ulp)) > 4.0 * (y + two_ulp)
+
+    def shape(v):
+        return math.tanh(v) / math.sqrt(v)
+
+    assert shape(y * (1.0 - 1e-6)) < shape(y) > shape(y * (1.0 + 1e-6))
+
+
+@pytest.mark.parametrize("lo, hi, bound", [(12.0, 30.0, 12.0), (1.0, 10.0, 10.0)])
+def test_optimizer_clips_an_outside_optimum_to_the_nearer_bound(lo, hi, bound):
+    # the optimum is 11.03 a at T = 7.6e-4 E_rec
+    res = analysis.optimize_sigma_e(0.136, 7.6e-4, lo, hi)
+    assert res.on_boundary
+    assert res.sigma_e == bound
+    assert res.s == analysis.s_estimate(bound, 0.136, 7.6e-4)
+
+
 def test_pair_fraction():
     assert analysis.pair_fraction(6.0) == pytest.approx(1.0 / 6.0)
     with pytest.raises(DomainError):

@@ -66,7 +66,8 @@ def toy_scenario(tmp_path):
 
 
 def read_table(path, delimiter=","):
-    lines = [ln.rstrip("\n") for ln in open(path) if ln.strip()]
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     header = [ln for ln in lines if ln.startswith("#")]
     body = [ln for ln in lines if not ln.startswith("#")]
     columns = body[0].split(delimiter)
@@ -224,13 +225,50 @@ def test_non_finite_laser_profile_fails_with_one_error_line(tmp_path, capsys):
 @pytest.mark.parametrize("command, old, new", [
     ("report", "sigma_E = 2 a", "sigma_E = 1e-300 a"),
     ("report", "sigma_E = 2 a", "sigma_E = 1e300 a"),
-    ("optimize", "momentum_zones = 2", "momentum_zones = 2\noptimizer_min = 1e-300 a"),
-], ids=["report-tiny-sigma_E", "report-huge-sigma_E", "optimize-tiny-optimizer_min"])
+], ids=["report-tiny-sigma_E", "report-huge-sigma_E"])
 def test_out_of_range_preparation_width_fails_with_one_error_line(
     command, old, new, tmp_path, capsys
 ):
     pattern = r"error: pi\^2 sigma_E\^2 T is outside the float range at .*\n"
     _assert_fails_with_one_error_line(command, TOY16.replace(old, new), tmp_path, capsys, pattern)
+
+
+def test_optimizer_bound_too_small_for_s_leaves_an_inner_optimum(tmp_path, capsys):
+    # s cannot be evaluated at 1e-300 a, but the optimum lies inside the bracket
+    def data_rows(optimizer_min):
+        path = tmp_path / f"{optimizer_min}.ini"
+        path.write_text(TOY16 + f"optimizer_min = {optimizer_min}\n")
+        out = tmp_path / optimizer_min
+        assert main(["optimize", "--scenario", str(path), "--out", str(out)]) == 0
+        return read_table(out / "optimize.csv")[2]
+
+    assert data_rows("1e-300 a") == data_rows("1 a")
+    assert capsys.readouterr().err == ""
+
+
+NARROW_ENVELOPES = {
+    "envelope": (TOY, "mode = ground", "mode = envelope\nsigma_E = {}"),
+    "thermal": (TOY16, "sigma_E = 2 a", "sigma_E = {}"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(NARROW_ENVELOPES))
+def test_envelope_too_narrow_for_floats_fails_with_one_error_line(mode, tmp_path, capsys):
+    text, old, new = NARROW_ENVELOPES[mode]
+    text = text.replace(old, new.format("1e-300 a"))
+    pattern = r"error: sigma_E = 1e-300 a is too narrow for float arithmetic\n"
+    _assert_fails_with_one_error_line("distributions", text, tmp_path, capsys, pattern)
+
+
+@pytest.mark.parametrize("mode", sorted(NARROW_ENVELOPES))
+def test_narrow_envelope_runs_without_warnings(mode, tmp_path, capsys):
+    # sigma_E^2 is a subnormal float: the envelope is 1 at its centre, 0 elsewhere
+    text, old, new = NARROW_ENVELOPES[mode]
+    path = tmp_path / "scenario.ini"
+    path.write_text(text.replace(old, new.format("1e-160 a")))
+    out = tmp_path / "out"
+    assert main(["distributions", "--scenario", str(path), "--out", str(out), "--jobs", "1"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])

@@ -74,8 +74,10 @@ TABLE_SHA256 = {
         "diatom_summary.csv": "27839f7b1cb75247e88a36eaa2514c487d59677987a8e58b8643ee3c8f07ba99",
         "dipole_profile.csv": "f51c01f24abaf482f24b552ae455204f95041786dea5c396ab984f48492f14d4",
     },
+    # recorded when the sigma_E optimum became the closed form: both rows
+    # moved from the golden-section estimate to the exact maximum
     ("lithium", "optimize"): {
-        "optimize.csv": "73023e2af7d369f3a04901ca59732c8c78d42bc8252067bf4b0d89301690c5ff",
+        "optimize.csv": "b51f75943816b4fb3f7d4769936da2dbe0426cb221a916a298d6be667d3f2aff",
     },
     ("lithium", "report"): {
         "report.csv": "defe7beace9277eda52cf6c28f44f79cee823ad174055ce078329e9765dd6799",
@@ -364,3 +366,16 @@ def test_sweep_starts_no_more_workers_than_points(jobs, workers, tmp_path, monke
     assert SerialPool.workers == workers
     assert SerialPool.tasks == [3] * len(workers)  # one task per point
     assert table_hashes(out) == {"sweep.csv": SWEEP_SHA256["toy", "state.T"]}
+
+
+def test_lithium_optimum_is_no_worse_than_the_golden_section_search():
+    # (sigma_E_opt, s_opt) that the golden-section search with a 1e-4 a
+    # tolerance returned at 10 nK and 100 nK
+    searched = [(11.034115017933225, 45.5631510102764),
+                (3.4893125710460415, 14.408333456359234)]
+    rows = pipeline.Model(parse_scenario(LITHIUM_EXAMPLE)).optimizer_rows()
+    assert len(rows) == len(searched)
+    for (_, sigma_e, s, _, on_boundary), (old_sigma_e, old_s) in zip(rows, searched):
+        assert s >= old_s
+        assert abs(sigma_e - old_sigma_e) < 1e-4
+        assert not on_boundary

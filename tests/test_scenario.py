@@ -96,7 +96,7 @@ def test_lattice_laser_block():
         "U0 = 7.42 Erec", "intensity = 0.35 W/cm^2\ndetuning = 50 gamma_L"
     )
     sc = make(text)
-    assert not sc.u0_direct
+    assert sc.lattice_laser is not None
     assert sc.lattice_laser.intensity == pytest.approx(3500.0)
     assert sc.lattice_laser.detuning == pytest.approx(50 * 1.2e6)
     assert sc.u0 > 0
