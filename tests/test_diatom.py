@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_epr import diatom
+from lattice_epr import diatom, lattice, pipeline
 from lattice_epr.errors import DomainError, RegimeError, SingularityError, SizeError
-from conftest import VDD_LI, nearest_only_profile
+from lattice_epr.scenario import LITHIUM_EXAMPLE, parse_scenario
+from conftest import U0_LI, VDD_LI, nearest_only_profile
 
 
 def test_build_hamiltonian_diagonal_symmetry(li_diatom_32):
@@ -194,6 +195,57 @@ def test_state_rejects_non_finite_weights_and_norms(li_diatom_32):
         diatom.TwoAtomState(weights=np.array([np.nan]), amplitudes=c)
     with pytest.raises(DomainError, match="norm"):
         diatom.TwoAtomState(weights=np.full(2, 0.5), amplitudes=np.concatenate([c, c * np.nan]))
-    # a zero envelope width divides 0 by 0 on the diagonal
-    with pytest.raises(DomainError, match="norm"), np.errstate(divide="ignore", invalid="ignore"):
-        diatom.thermal_diatom_state(li_diatom_32, 0.001, sigma_e=0.0)
+
+
+@pytest.mark.parametrize("sigma_e", [0.0, -6.0, math.nan])
+def test_thermal_state_rejects_a_non_positive_envelope_width(li_diatom_32, sigma_e):
+    # raised before any numpy call: filterwarnings = error fails a raw warning
+    with pytest.raises(DomainError, match="sigma_E"):
+        diatom.thermal_diatom_state(li_diatom_32, 0.001, sigma_e=sigma_e)
+
+
+def solve_every_block(h):
+    """Reference for TwoAtomHamiltonian.blocks: one eigh per phase, theta > 0
+    included."""
+    n = h.n_sites
+    thetas = 2.0 * np.pi * np.arange(-n // 2, n // 2) / n
+    energies = np.empty((n, n))
+    ground = np.empty((n, n), dtype=complex)
+    for i, th in enumerate(thetas):
+        w, v = np.linalg.eigh(h.block(th))
+        energies[i] = w
+        g = v[:, 0]
+        k = int(np.argmax(np.abs(g)))
+        ground[i] = g * (abs(g[k]) / g[k])
+    return thetas, energies, ground
+
+
+@pytest.fixture(scope="module")
+def li_chains():
+    """The lithium-example dipole profile, off-site tail included, and v_hop
+    at U0 = 6, 7.42 and 12 E_rec on the lattice of li_hopping."""
+    profile = pipeline.Model(parse_scenario(LITHIUM_EXAMPLE)).profile
+    v_hops = [
+        lattice.hopping_exact(lattice.band_structure(lattice.LatticeConfig(
+            u0=u0, n_sites=32, cutoff=16, samples_per_site=32))).v_hop
+        for u0 in (6.0, U0_LI, 12.0)
+    ]
+    return profile, v_hops
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 64])
+def test_blocks_mirror_equals_solving_every_block(n, li_chains):
+    """The theta > 0 rows, filled from -theta by conjugation, are bitwise the
+    rows a solve of their own block gives.  CI runs this again with two BLAS
+    threads."""
+    profile, v_hops = li_chains
+    for v_hop in v_hops:
+        h = diatom.build_hamiltonian(n, v_hop, profile)
+        got = h.blocks
+        for array, expected in zip(got, solve_every_block(h)):
+            assert np.array_equal(array, expected)
+            assert not array.flags.writeable
+        thetas, _, ground = got
+        for i in np.flatnonzero(thetas > 0):
+            mirror = int(np.flatnonzero(thetas == -thetas[i])[0])
+            assert np.array_equal(ground[mirror], ground[i].conj())
