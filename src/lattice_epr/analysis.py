@@ -97,9 +97,12 @@ class Slice1D:
 # ---------------------------------------------------------------------------
 # joint densities
 
-# rows per block and columns per tile of the position grid; blocks this tall
-# reproduce the unblocked GEMM bit for bit, while very short ones take
-# another BLAS path
+# rows per block and columns per tile of the position grid.  A row of the
+# grid does not depend on the height of the block it is computed in, so the
+# block bounds set only the work per thread and the memory per block.  A
+# tile holds at least two columns: a one-column remainder joins the tile
+# before it, because a one-column product takes BLAS's matrix-vector path,
+# which rounds differently.
 _POSITION_BLOCK_ROWS = 256
 _POSITION_TILE_COLS = 256
 
@@ -107,40 +110,58 @@ _POSITION_TILE_COLS = 256
 def _position_block(w, weights, amplitudes, out, lo, hi):
     """Weighted sum over the ensemble of |w[lo:hi] c w^T|^2 into out[lo:hi].
 
+    The first product, left = w[lo:hi] c, is complex.  The second one
+    multiplies it by the real orbital, so it is computed transposed, one
+    column tile at a time, as one real GEMM on the interleaved (re, im)
+    values of left^T; complex tiles would spend half their multiplies on
+    the orbital's zero imaginary part.  The columns of left^T are padded
+    with zeros to a multiple of 8: without the padding the last
+    (hi - lo) mod 8 rows can differ from the complex product in their last
+    bits (seen with OpenBLAS, whose edge kernel is the likely cause); with
+    it the two agree bit for bit.  The squared moduli are summed in member
+    order into a transposed (G, rows) accumulator that is copied into
+    out[lo:hi] once, so each row equals that of the full complex product.
+
     Both products contract only over the sites, in ascending order, where
-    both factors have a non-zero column; the second one does so per tile of
-    grid columns unless no site is left out anywhere.  The terms left out
-    are exact zeros, so the result is that of the full products, and a tile
-    without such a site stays exactly 0.
+    both factors have a non-zero column.  The terms left out are exact
+    zeros, so the result is that of the full products, and a tile without
+    such a site stays exactly 0.
 
     Runs in worker threads, so it calls nothing but numpy: the package's
     functions then only ever run on the calling thread.
     """
-    acc = out[lo:hi]
-    acc[...] = 0.0
-    buf = np.empty_like(acc)
+    g, n = w.shape
+    height = hi - lo
+    width = -(-height // 8) * 8
     rows = w[lo:hi]
     sites = np.flatnonzero(rows.any(axis=0))
     rows = rows[:, sites]
-    starts = range(0, len(w), _POSITION_TILE_COLS)
-    tile_nonzero = np.array([w[t : t + _POSITION_TILE_COLS].any(axis=0) for t in starts])
+    edges = list(range(0, g, _POSITION_TILE_COLS)) + [g]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    tiles = list(zip(edges[:-1], edges[1:]))
+    tile_nonzero = [w[t0:t1].any(axis=0) for t0, t1 in tiles]
+    left_t = np.zeros((n, width), dtype=complex)
+    acc = np.zeros((g, width))
+    buf = np.empty((max(t1 - t0 for t0, t1 in tiles), width))
     for weight, c in zip(weights, amplitudes):
-        left = rows @ c[sites]
-        both = left.any(axis=0) & tile_nonzero
-        if both.all():
-            spans = [(0, len(w), slice(None))]
-        else:
-            spans = [
-                (t, t + _POSITION_TILE_COLS, np.flatnonzero(common))
-                for t, common in zip(starts, both)
-                if common.any()
-            ]
-        for t0, t1, common in spans:
-            tile = buf[:, t0:t1]
-            np.abs(left[:, common] @ w[t0:t1, common].T, out=tile)
+        left_t[:, :height] = (rows @ c[sites]).T
+        nonzero = left_t.any(axis=1)
+        for (t0, t1), tile_sites in zip(tiles, tile_nonzero):
+            both = nonzero & tile_sites
+            if both.all():
+                common = slice(None)
+            elif both.any():
+                common = np.flatnonzero(both)
+            else:
+                continue
+            z = (w[t0:t1, common] @ left_t[common].view(np.float64)).view(complex)
+            tile = buf[: t1 - t0]
+            np.abs(z, out=tile)
             np.square(tile, out=tile)
             tile *= weight
-            acc[:, t0:t1] += tile
+            acc[t0:t1] += tile
+    out[lo:hi] = acc[:, :height].T
 
 
 def joint_position_density(

@@ -408,6 +408,13 @@ _COMMANDS = {
 }
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="lattice-epr",
@@ -426,7 +433,7 @@ def main(argv=None):
         type=_positive_int,
         default=None,
         help="workers: sweep processes, or distributions threads for the "
-        "position grids (default: one per core)",
+        "position grids (default: one per CPU this process may run on)",
     )
     parser.add_argument("--format", choices=("csv", "tsv"), default="csv")
     args = parser.parse_args(argv)
@@ -437,7 +444,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     delimiter = "," if args.format == "csv" else "\t"
-    writer = _Writer(args.out, sc, delimiter, args.jobs or os.cpu_count() or 1)
+    writer = _Writer(args.out, sc, delimiter, args.jobs or _usable_cpus())
     try:
         return _COMMANDS[args.command](sc, writer, args)
     except LatticeEprError as exc:

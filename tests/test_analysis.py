@@ -1,6 +1,7 @@
 """Distributions, peak metrics, closed-form widths, and the optimizer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def test_position_density_matches_unblocked_loop(li_hopping, li_wannier, jobs):
     assert len(state.weights) > 1
     grid = analysis.joint_position_density(state, li_wannier, 32, jobs=jobs)
     ref = _position_density_unblocked(state, li_wannier, 32)
-    np.testing.assert_allclose(grid.density, ref, rtol=1e-13, atol=0.0)
+    assert np.array_equal(grid.density, ref)
 
 
 def _position_density_unskipped(state, orbital, samples_per_site):
@@ -119,6 +120,55 @@ def test_position_block_leaves_tiles_without_common_sites_at_zero():
     ref = sum(weight * np.abs(w[256:512] @ c @ w.T) ** 2 for weight, c in zip(weights, amplitudes))
     assert np.array_equal(out[256:512], ref)
     assert not out[256:512, 768:].any()  # sites 24..31 share no site with 8..15
+
+
+@pytest.mark.parametrize("orbital", ["dense", "banded"])
+@pytest.mark.parametrize(
+    "g, n, lo, hi",
+    [
+        (297, 9, 0, 149),     # 297 = 256 + 41: a remainder tile
+        (297, 9, 149, 297),
+        (513, 9, 0, 213),     # 513 = 2 * 256 + 1: a one-column remainder
+        (513, 9, 213, 427),
+        (527, 17, 213, 427),
+        (640, 20, 0, 213),
+        (640, 20, 427, 640),
+    ],
+)
+def test_position_block_real_product_is_exact(g, n, lo, hi, orbital):
+    # block heights that are not a multiple of 8, against the complex
+    # product summed in member order
+    rng = np.random.default_rng(g + lo)
+    w = rng.standard_normal((g, n))
+    if orbital == "banded":
+        w[_ring_distance(np.arange(g) // (g // n), np.arange(n), n) > 2] = 0.0
+    weights = rng.random(3)
+    amplitudes = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    out = np.full((g, g), np.nan)
+    analysis._position_block(w, weights, amplitudes, out, lo, hi)
+    ref = sum(weight * np.abs(w[lo:hi] @ c @ w.T) ** 2 for weight, c in zip(weights, amplitudes))
+    assert np.array_equal(out[lo:hi], ref)
+
+
+@pytest.mark.parametrize("orbital", ["wannier", "gaussian"])
+def test_position_block_peak_allocation(li_wannier, orbital):
+    # one 256-row block of a 2048-column grid with 4 members; the Wannier
+    # orbital has no exact zero on this 32-site ring
+    n, samples_per_site = 32, 64
+    orb = li_wannier if orbital == "wannier" else lattice.GaussianOrbital(0.136)
+    x = np.arange(n * samples_per_site) / samples_per_site
+    w = orb.at((x[:, None] - np.arange(n) + n / 2.0) % n - n / 2.0)
+    rng = np.random.default_rng(5)
+    weights = rng.random(4)
+    amplitudes = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+    out = np.empty((len(x), len(x)))
+    tracemalloc.start()
+    try:
+        analysis._position_block(w, weights, amplitudes, out, 256, 512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_position_density_grid_guard(small_ground):

@@ -282,6 +282,18 @@ def test_jobs_must_be_a_positive_integer(toy_scenario, tmp_path, capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+def test_jobs_default_counts_the_cpus_this_process_may_run_on(monkeypatch, tmp_path):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "bands", lambda sc, writer, args: seen.append(writer.jobs))
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    argv = ["bands", "--scenario", "lithium-example", "--out", str(tmp_path)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    main(argv)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    main(argv)
+    assert seen == [1, 8]
+
+
 def _write_grid_reference(path, sha256, delimiter, columns, grid):
     """Row-by-row writer of a grid table, one _fmt call per value."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
