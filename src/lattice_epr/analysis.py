@@ -100,27 +100,68 @@ class Slice1D:
 # rows per block and columns per tile of the position grid.  A row of the
 # grid does not depend on the height of the block it is computed in, so the
 # block bounds set only the work per thread and the memory per block.  A
+# block holds the first products and one tile term of every computed
+# member: about 9 MiB for the 33 of lithium-example at 128 x 128, where
+# 128 x 256 and 256 x 128 raised the command's peak RSS by about 18 MB.  A
 # tile holds at least two columns: a one-column remainder joins the tile
 # before it, because a one-column product takes BLAS's matrix-vector path,
 # which rounds differently.
-_POSITION_BLOCK_ROWS = 256
-_POSITION_TILE_COLS = 256
+_POSITION_BLOCK_ROWS = 128
+_POSITION_TILE_COLS = 128
 
 
-def _position_block(w, weights, amplitudes, out, lo, hi):
+def _member_map(weights, amplitudes):
+    """source[m]: the first earlier member whose weight equals that of
+    member m and whose amplitudes equal the conjugate of m's, bit for bit,
+    else m itself.
+
+    Members are compared by their bytes, so a member is reused only when
+    the grid term it would compute is the one already computed (see
+    _position_block).  Adding 0.0 first turns -0.0 into +0.0: conjugation
+    flips the sign of a zero imaginary part, and the grid only multiplies,
+    adds and takes moduli, where the sign of a zero can change only the
+    sign of a zero result, which the modulus drops.  A state without such
+    pairs gets the identity.
+    """
+    first = {}
+    source = np.arange(len(weights))
+    for m, (weight, c) in enumerate(zip(weights, amplitudes)):
+        key = weight.tobytes()
+        j = first.get((key, (c.conj() + 0.0).tobytes()))
+        if j is not None:
+            source[m] = source[j]
+        first.setdefault((key, (c + 0.0).tobytes()), m)
+    return source
+
+
+def _position_block(w, weights, amplitudes, source, out, lo, hi):
     """Weighted sum over the ensemble of |w[lo:hi] c w^T|^2 into out[lo:hi].
 
-    The first product, left = w[lo:hi] c, is complex.  The second one
-    multiplies it by the real orbital, so it is computed transposed, one
-    column tile at a time, as one real GEMM on the interleaved (re, im)
-    values of left^T; complex tiles would spend half their multiplies on
-    the orbital's zero imaginary part.  The columns of left^T are padded
-    with zeros to a multiple of 8: without the padding the last
-    (hi - lo) mod 8 rows can differ from the complex product in their last
-    bits (seen with OpenBLAS, whose edge kernel is the likely cause); with
-    it the two agree bit for bit.  The squared moduli are summed in member
-    order into a transposed (G, rows) accumulator that is copied into
-    out[lo:hi] once, so each row equals that of the full complex product.
+    Each member m adds the term of member source[m] (see _member_map),
+    and only the members with source[m] == m are computed.  A member whose
+    amplitudes are the conjugate of another's, with the same weight, has
+    the same term bit for bit: the orbital w is real, so its first product
+    w[lo:hi] conj(c) is the conjugate of w[lo:hi] c (rounding to nearest is
+    symmetric under a change of sign), the real second product below then
+    flips only the sign of the imaginary part, and the modulus ignores it.
+    That the BLAS kernels keep this symmetry is observed, not promised, and
+    the tests check it against computing every member.
+
+    The first products, left = w[lo:hi] c, are complex and are computed
+    once per block.  The second one multiplies left by the real orbital, so
+    it is computed transposed, one column tile at a time, as one real GEMM
+    on the interleaved (re, im) values of left^T; complex tiles would spend
+    half their multiplies on the orbital's zero imaginary part.  The
+    columns of left^T are padded with zeros to a multiple of 8: without the
+    padding the last (hi - lo) mod 8 rows can differ from the complex
+    product in their last bits (seen with OpenBLAS, whose edge kernel is
+    the likely cause); with it the two agree bit for bit.
+
+    Tiles are the outer loop.  In each tile every computed member's squared
+    modulus times its weight is formed once, the terms are summed into a
+    zeroed tile in member order, through the map, and the tile is copied
+    into out[lo:hi] once.  So each entry is the sum of the same terms in
+    the same order as the full complex products would give.
 
     Both products contract only over the sites, in ascending order, where
     both factors have a non-zero column.  The terms left out are exact
@@ -139,29 +180,36 @@ def _position_block(w, weights, amplitudes, out, lo, hi):
     edges = list(range(0, g, _POSITION_TILE_COLS)) + [g]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
-    tiles = list(zip(edges[:-1], edges[1:]))
-    tile_nonzero = [w[t0:t1].any(axis=0) for t0, t1 in tiles]
-    left_t = np.zeros((n, width), dtype=complex)
-    acc = np.zeros((g, width))
-    buf = np.empty((max(t1 - t0 for t0, t1 in tiles), width))
-    for weight, c in zip(weights, amplitudes):
-        left_t[:, :height] = (rows @ c[sites]).T
-        nonzero = left_t.any(axis=1)
-        for (t0, t1), tile_sites in zip(tiles, tile_nonzero):
-            both = nonzero & tile_sites
+    computed = np.flatnonzero(source == np.arange(len(source)))
+    slot = np.searchsorted(computed, source)  # member m adds terms[slot[m]]
+    left_t = np.zeros((len(computed), n, width), dtype=complex)
+    for left, m in zip(left_t, computed):
+        left[:, :height] = (rows @ amplitudes[m][sites]).T
+    nonzero = left_t.any(axis=2)
+    tile_max = max(t1 - t0 for t0, t1 in zip(edges[:-1], edges[1:]))
+    terms = np.empty((len(computed), tile_max, width))
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        tile_sites = w[t0:t1].any(axis=0)
+        present = np.zeros(len(computed), dtype=bool)
+        for k, m in enumerate(computed):
+            both = nonzero[k] & tile_sites
             if both.all():
                 common = slice(None)
             elif both.any():
                 common = np.flatnonzero(both)
             else:
                 continue
-            z = (w[t0:t1, common] @ left_t[common].view(np.float64)).view(complex)
-            tile = buf[: t1 - t0]
-            np.abs(z, out=tile)
-            np.square(tile, out=tile)
-            tile *= weight
-            acc[t0:t1] += tile
-    out[lo:hi] = acc[:, :height].T
+            z = (w[t0:t1, common] @ left_t[k, common].view(np.float64)).view(complex)
+            term = terms[k, : t1 - t0]
+            np.abs(z, out=term)
+            np.square(term, out=term)
+            term *= weights[m]
+            present[k] = True
+        tile = np.zeros((t1 - t0, width))
+        for k in slot:
+            if present[k]:
+                tile += terms[k, : t1 - t0]
+        out[lo:hi, t0:t1] = tile[:, :height].T
 
 
 def joint_position_density(
@@ -170,10 +218,15 @@ def joint_position_density(
     """P(x1, x2) = |sum_jl c_jl w(x1 - j) w(x2 - l)|^2 on the periodic box.
 
     ``orbital`` is a lattice.WannierState or lattice.GaussianOrbital.
-    Ensemble states are weight-averaged.  The grid is evaluated in blocks of
-    rows whose bounds depend only on the grid size, on up to ``jobs``
-    threads; the result does not depend on ``jobs``.  Raises GridError when
-    the grid step exceeds a quarter of the orbital width.
+    Ensemble states are weight-averaged.  A member whose weight equals an
+    earlier member's and whose amplitudes are that member's conjugate, bit
+    for bit, has the same grid term, so its term is computed once and added
+    at both places (the theta > 0 members of a thermal state, whose ground
+    vectors diatom copies from -theta by conjugation).  The grid is
+    evaluated in blocks of rows whose bounds depend only on the grid size,
+    on up to ``jobs`` threads; the result does not depend on ``jobs``.
+    Raises GridError when the grid step exceeds a quarter of the orbital
+    width.
     """
     n = state.n_sites
     step = 1.0 / samples_per_site
@@ -189,7 +242,10 @@ def joint_position_density(
     g = len(x)
     bounds = np.linspace(0, g, -(-g // _POSITION_BLOCK_ROWS) + 1).astype(int)
     dens = np.empty((g, g))
-    block = functools.partial(_position_block, w, state.weights, state.amplitudes, dens)
+    source = _member_map(state.weights, state.amplitudes)
+    block = functools.partial(
+        _position_block, w, state.weights, state.amplitudes, source, dens
+    )
     with ThreadPoolExecutor(max_workers=min(jobs, len(bounds) - 1)) as pool:
         list(pool.map(block, bounds[:-1], bounds[1:]))  # re-raises failures
     dens /= dens.sum() * step * step

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 import numpy as np
 
 from . import __version__, analysis, dipole, lattice, pipeline
-from .errors import LatticeEprError
+from .errors import LatticeEprError, OutputError
 from .scenario import Scenario, load_scenario, parse_scenario
 
 __all__ = ["main"]
@@ -159,20 +159,28 @@ class _Writer:
 
     def table(self, name, columns, rows):
         """Write a table of ``rows``, or of every point of a DistributionGrid
-        as (axis1, axis2, density) rows in C order."""
-        os.makedirs(self.out_dir, exist_ok=True)
+        as (axis1, axis2, density) rows in C order.
+
+        The path is recorded as soon as the file is opened, so cleanup()
+        also removes a table that fails halfway.  An OSError becomes an
+        OutputError that names the path.
+        """
         path = os.path.join(self.out_dir, name)
         header = [f"# lattice-epr {__version__}",
                   f"# scenario sha256: {self.scenario.sha256}",
                   self.delimiter.join(columns)]
-        with open(path, "wb") as fh:
-            fh.write("".join(line + "\n" for line in header).encode())
-            if isinstance(rows, analysis.DistributionGrid):
-                self._grid(fh, rows)
-            else:
-                for row in rows:
-                    fh.write((self.delimiter.join(_fmt(v) for v in row) + "\n").encode())
-        self.written.append(path)
+        try:
+            os.makedirs(self.out_dir, exist_ok=True)
+            with open(path, "wb") as fh:
+                self.written.append(path)
+                fh.write("".join(line + "\n" for line in header).encode())
+                if isinstance(rows, analysis.DistributionGrid):
+                    self._grid(fh, rows)
+                else:
+                    for row in rows:
+                        fh.write((self.delimiter.join(_fmt(v) for v in row) + "\n").encode())
+        except OSError as exc:
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
         return path
 
     def _grid(self, fh, grid):

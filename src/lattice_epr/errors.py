@@ -45,3 +45,7 @@ class NoPeakError(LatticeEprError, ValueError):
 
 class ScenarioError(LatticeEprError, ValueError):
     """A scenario file failed to parse or validate."""
+
+
+class OutputError(LatticeEprError, OSError):
+    """An output table could not be written."""

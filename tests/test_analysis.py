@@ -51,7 +51,7 @@ def _position_density_unblocked(state, orbital, samples_per_site):
 
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_position_density_matches_unblocked_loop(li_hopping, li_wannier, jobs):
-    # 20 sites x 32 samples: G = 640 rows, three row blocks of unequal size
+    # 20 sites x 32 samples: G = 640 rows, five row blocks
     h = diatom.build_hamiltonian(20, li_hopping.v_hop, nearest_only_profile(-2.16))
     state = diatom.thermal_diatom_state(h, 0.01, sigma_e=2.0)
     assert len(state.weights) > 1
@@ -97,6 +97,67 @@ def test_position_density_skips_only_exact_zeros(li_hopping, li_wannier, orbital
     assert np.array_equal(grid.density, ref)
 
 
+def _thermal_state(li_hopping, n, sigma_e):
+    h = diatom.build_hamiltonian(n, li_hopping.v_hop, nearest_only_profile(-2.16))
+    return diatom.thermal_diatom_state(h, 0.01, sigma_e=sigma_e)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("sigma_e", [None, 2.0])
+def test_position_density_member_map_pairs_each_theta_with_minus_theta(li_hopping, n, sigma_e):
+    # the theta > 0 members are the conjugates of the theta < 0 ones: N/2 - 1
+    # of them for even N, (N - 3)/2 for odd N, as many as diatom fills by
+    # conjugation
+    state = _thermal_state(li_hopping, n, sigma_e)
+    thetas = diatom._com_phases(n)
+    source = analysis._member_map(state.weights, state.amplitudes)
+    reused = np.flatnonzero(source != np.arange(n))
+    assert len(reused) == (n // 2 - 1 if n % 2 == 0 else (n - 3) // 2)
+    assert np.array_equal(thetas[reused], -thetas[source[reused]])
+    assert (thetas[reused] > 0).all()
+    for m in reused:
+        assert state.weights[m] == state.weights[source[m]]
+        assert np.array_equal(state.amplitudes[m], state.amplitudes[source[m]].conj())
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("orbital", ["wannier", "gaussian"])
+@pytest.mark.parametrize("sigma_e", [None, 2.0])
+@pytest.mark.parametrize("n", [16, 17])
+def test_position_density_reuses_conjugate_members_exactly(
+    li_hopping, li_wannier, n, sigma_e, orbital, jobs
+):
+    # each member computed in full, against the grid that computes the
+    # theta > 0 members' terms once, for their theta < 0 partners
+    state = _thermal_state(li_hopping, n, sigma_e)
+    orb = li_wannier if orbital == "wannier" else lattice.GaussianOrbital(0.136)
+    assert (analysis._member_map(state.weights, state.amplitudes) != np.arange(n)).any()
+    ref, _ = _position_density_unskipped(state, orb, 32)
+    grid = analysis.joint_position_density(state, orb, 32, jobs=jobs)
+    assert np.array_equal(grid.density, ref)
+
+
+@pytest.mark.parametrize("change", ["weight", "amplitude"])
+def test_position_density_does_not_reuse_a_member_one_bit_off(li_hopping, li_wannier, change):
+    # member 9 (theta = 2 pi / 16) is the conjugate of member 7; with its
+    # weight one ulp up or one amplitude bit flipped it is computed in full
+    state = _thermal_state(li_hopping, 16, 2.0)
+    weights, amplitudes = state.weights.copy(), state.amplitudes.copy()
+    source = analysis._member_map(weights, amplitudes)
+    assert source[9] == 7
+    if change == "weight":
+        weights[9] = np.nextafter(weights[9], 1.0)
+    else:
+        bits = amplitudes[9].view(np.uint64).reshape(-1)
+        bits[np.argmax(np.abs(amplitudes[9].view(np.float64)))] ^= np.uint64(1)
+    source[9] = 9
+    assert np.array_equal(analysis._member_map(weights, amplitudes), source)
+    state = diatom.TwoAtomState(weights=weights, amplitudes=amplitudes)
+    ref, _ = _position_density_unskipped(state, li_wannier, 32)
+    grid = analysis.joint_position_density(state, li_wannier, 32, jobs=3)
+    assert np.array_equal(grid.density, ref)
+
+
 def _ring_distance(a, b, n):
     return np.abs((a[:, None] - b[None, :] + n / 2) % n - n / 2)
 
@@ -116,19 +177,34 @@ def test_position_block_leaves_tiles_without_common_sites_at_zero():
         band, rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n)), 0
     )
     out = np.empty((g, g))
-    analysis._position_block(w, weights, amplitudes, out, 256, 512)
+    analysis._position_block(w, weights, amplitudes, np.arange(2), out, 256, 512)
     ref = sum(weight * np.abs(w[256:512] @ c @ w.T) ** 2 for weight, c in zip(weights, amplitudes))
     assert np.array_equal(out[256:512], ref)
     assert not out[256:512, 768:].any()  # sites 24..31 share no site with 8..15
+
+
+def _random_block_inputs(g, n, lo, orbital):
+    rng = np.random.default_rng(g + lo)
+    w = rng.standard_normal((g, n))
+    if orbital == "banded":
+        w[_ring_distance(np.arange(g) // (g // n), np.arange(n), n) > 2] = 0.0
+    weights = rng.random(3)
+    amplitudes = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    return w, weights, amplitudes
+
+
+def _block_reference(w, weights, amplitudes, lo, hi):
+    """The complex products of every member, summed in member order."""
+    return sum(weight * np.abs(w[lo:hi] @ c @ w.T) ** 2 for weight, c in zip(weights, amplitudes))
 
 
 @pytest.mark.parametrize("orbital", ["dense", "banded"])
 @pytest.mark.parametrize(
     "g, n, lo, hi",
     [
-        (297, 9, 0, 149),     # 297 = 256 + 41: a remainder tile
+        (297, 9, 0, 149),     # 297 = 2 * 128 + 41: a remainder tile
         (297, 9, 149, 297),
-        (513, 9, 0, 213),     # 513 = 2 * 256 + 1: a one-column remainder
+        (513, 9, 0, 213),     # 513 = 4 * 128 + 1: a one-column remainder
         (513, 9, 213, 427),
         (527, 17, 213, 427),
         (640, 20, 0, 213),
@@ -138,16 +214,25 @@ def test_position_block_leaves_tiles_without_common_sites_at_zero():
 def test_position_block_real_product_is_exact(g, n, lo, hi, orbital):
     # block heights that are not a multiple of 8, against the complex
     # product summed in member order
-    rng = np.random.default_rng(g + lo)
-    w = rng.standard_normal((g, n))
-    if orbital == "banded":
-        w[_ring_distance(np.arange(g) // (g // n), np.arange(n), n) > 2] = 0.0
-    weights = rng.random(3)
-    amplitudes = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    w, weights, amplitudes = _random_block_inputs(g, n, lo, orbital)
     out = np.full((g, g), np.nan)
-    analysis._position_block(w, weights, amplitudes, out, lo, hi)
-    ref = sum(weight * np.abs(w[lo:hi] @ c @ w.T) ** 2 for weight, c in zip(weights, amplitudes))
-    assert np.array_equal(out[lo:hi], ref)
+    analysis._position_block(w, weights, amplitudes, np.arange(3), out, lo, hi)
+    assert np.array_equal(out[lo:hi], _block_reference(w, weights, amplitudes, lo, hi))
+
+
+@pytest.mark.parametrize("orbital", ["dense", "banded"])
+@pytest.mark.parametrize("g, n, lo, hi", [(513, 9, 213, 427), (640, 20, 427, 640)])
+def test_position_block_real_product_is_exact_for_a_conjugate_pair(g, n, lo, hi, orbital):
+    # member 2 is the conjugate of member 0 with its weight: its term is
+    # member 0's, added in member 2's place, against computing it in full
+    w, weights, amplitudes = _random_block_inputs(g, n, lo, orbital)
+    weights = np.insert(weights, 2, weights[0])
+    amplitudes = np.insert(amplitudes, 2, amplitudes[0].conj(), axis=0)
+    source = analysis._member_map(weights, amplitudes)
+    assert source.tolist() == [0, 1, 0, 3]
+    out = np.full((g, g), np.nan)
+    analysis._position_block(w, weights, amplitudes, source, out, lo, hi)
+    assert np.array_equal(out[lo:hi], _block_reference(w, weights, amplitudes, lo, hi))
 
 
 @pytest.mark.parametrize("orbital", ["wannier", "gaussian"])
@@ -164,7 +249,7 @@ def test_position_block_peak_allocation(li_wannier, orbital):
     out = np.empty((len(x), len(x)))
     tracemalloc.start()
     try:
-        analysis._position_block(w, weights, amplitudes, out, 256, 512)
+        analysis._position_block(w, weights, amplitudes, np.arange(4), out, 256, 512)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 """Command-line front end: artifacts, determinism, error handling."""
 
+import errno
 import math
 import os
 import re
@@ -43,7 +44,7 @@ momentum_zones = 2
 """
 
 
-# 16 sites x 32 samples: G = 512, two row blocks of the position grid
+# 16 sites x 32 samples: G = 512, four row blocks of the position grid
 TOY16 = TOY.replace("sites = 8", "sites = 16").replace(
     "mode = ground", "mode = thermal\nT = 10 nK\nsigma_E = 2 a"
 )
@@ -206,6 +207,27 @@ def _assert_fails_with_one_error_line(command, text, tmp_path, capsys, pattern):
     assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
     assert re.fullmatch(pattern, capsys.readouterr().err)
     assert not out.exists() or not list(out.iterdir())
+
+
+def test_out_below_a_regular_file_fails_with_one_error_line(toy_scenario, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "sub"
+    assert main(["distributions", "--scenario", toy_scenario, "--out", str(out)]) == 1
+    path = re.escape(os.path.join(str(out), "position_joint.csv"))
+    pattern = rf"error: cannot write {path}: {os.strerror(errno.ENOTDIR)}\n"
+    assert re.fullmatch(pattern, capsys.readouterr().err)
+
+
+def test_table_that_fails_halfway_is_removed(monkeypatch, tmp_path, capsys):
+    def full_disk(self, fh, grid):
+        fh.write(b"0,0,")
+        fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(_Writer, "_grid", full_disk)
+    pattern = rf"error: cannot write \S+position_joint\.csv: {os.strerror(errno.ENOSPC)}\n"
+    _assert_fails_with_one_error_line("distributions", TOY, tmp_path, capsys, pattern)
 
 
 @pytest.mark.parametrize("displacement", ["1e-300 nm", "1e300 nm"])
