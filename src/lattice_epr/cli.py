@@ -15,13 +15,13 @@ import functools
 import os
 import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__, analysis, dipole, lattice, pipeline
 from .errors import LatticeEprError, OutputError
-from .scenario import Scenario, load_scenario, parse_scenario
+from .scenario import Scenario, load_scenario
 
 __all__ = ["main"]
 
@@ -368,35 +368,16 @@ def _sweep_point(base, path, value):
         raise type(exc)(f"sweep point {path} = {_fmt(value)}: {exc}") from exc
 
 
-# the base model of a sweep worker process, built once by its initializer
-_worker_base = None
-
-
-def _init_sweep_worker(text):
-    global _worker_base
-    _worker_base = pipeline.Model(parse_scenario(text))
-
-
-def _sweep_worker_point(task):
-    return _sweep_point(_worker_base, *task)
-
-
 def _cmd_sweep(sc: Scenario, writer: _Writer, args):
     if sc.sweep is None:
-        print("scenario has no [sweep] section", file=sys.stderr)
+        print("error: scenario has no [sweep] section", file=sys.stderr)
         return 2
     path, values = sc.sweep
-    # one base model per worker, which builds the stages its points share
-    # once; one point per task, so the workers balance their load
-    workers = min(writer.jobs, len(values))
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_sweep_worker, initargs=(sc.raw_text,)
-        ) as pool:
-            results = list(pool.map(_sweep_worker_point, [(path, v) for v in values]))
-    else:
-        base = pipeline.Model(sc)
-        results = [_sweep_point(base, path, v) for v in values]
+    # the points share one base model, which builds the stages they share;
+    # one point per task, so the threads balance their load
+    base = pipeline.Model(sc)
+    with ThreadPoolExecutor(max_workers=min(writer.jobs, len(values))) as pool:
+        results = list(pool.map(functools.partial(_sweep_point, base, path), values))
     keys = sorted(set().union(*(r.keys() for r in results)))
     rows = [
         [value] + [r.get(k) for k in keys] for value, r in zip(values, results)
@@ -440,8 +421,8 @@ def main(argv=None):
         "--jobs",
         type=_positive_int,
         default=None,
-        help="workers: sweep processes, or distributions threads for the "
-        "position grids (default: one per CPU this process may run on)",
+        help="worker threads: sweep points, or distributions grid blocks "
+        "(default: one per CPU this process may run on)",
     )
     parser.add_argument("--format", choices=("csv", "tsv"), default="csv")
     args = parser.parse_args(argv)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -70,9 +69,9 @@ class TwoAtomHamiltonian:
         h[idx, (idx + 1) % n] += upper
         return h
 
-    @cached_property
+    @property
     def blocks(self):
-        """Every center-of-mass block diagonalized, computed once.
+        """Every center-of-mass block diagonalized, computed on first read.
 
         (thetas, all eigenvalues (N, N), bound-branch eigenvectors (N, N)),
         each eigenvector in the gauge where its largest-magnitude component
@@ -85,8 +84,11 @@ class TwoAtomHamiltonian:
         eigenvalues of the -theta row and the conjugate of its ground
         vector.  That these equal a solve of the theta > 0 block bit for bit
         is an observed property of LAPACK's zheevd, which the tests check
-        against solving every block.
+        against solving every block.  The result is kept in the instance's
+        dict without a lock, like a ``pipeline._stage``.
         """
+        if "blocks" in self.__dict__:
+            return self.__dict__["blocks"]
         n = self.n_sites
         thetas = _com_phases(n)
         energies = np.empty((n, n))
@@ -107,7 +109,8 @@ class TwoAtomHamiltonian:
             ground[i] = g * (abs(g[k]) / g[k])
         for array in (thetas, energies, ground):
             array.flags.writeable = False
-        return thetas, energies, ground
+        self.__dict__["blocks"] = thetas, energies, ground
+        return self.__dict__["blocks"]
 
     def dense(self) -> np.ndarray:
         """Full N^2 x N^2 matrix in the |j, l> basis (oracle path)."""

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import analysis, diatom, dipole, lattice
 from .core import dipole_moment_sq_from_linewidth
-from .errors import ScenarioError, SingularityError
+from .errors import DomainError, ScenarioError, SingularityError
 from .scenario import Scenario
 
 __all__ = ["Model"]
@@ -107,16 +107,22 @@ _SHARED_STAGES = {
 
 
 def _stage(build):
-    """A stage built on first read and kept, or read from the base model
-    when the model shares it."""
+    """A stage built on first read and kept in the model's own dict, or read
+    from the base model when the model shares it.  Only a build that succeeds
+    is kept.  There is no lock (the standard library's cached property holds
+    one for all instances before Python 3.12): threads that read an unbuilt
+    stage of a shared base together each build it, and as stages are
+    deterministic, with the same bytes."""
+    name = build.__name__
 
     @functools.wraps(build)
     def get(self):
-        if build.__name__ in self._shared:
-            return getattr(self._base, build.__name__)
-        return build(self)
+        if name not in self.__dict__:
+            shared = name in self._shared
+            self.__dict__[name] = getattr(self._base, name) if shared else build(self)
+        return self.__dict__[name]
 
-    return functools.cached_property(get)
+    return property(get)
 
 
 def is_golden_scenario(sc: Scenario) -> bool:
@@ -202,7 +208,12 @@ class Model:
             # red detuning assumed: omega = omega_A - |delta|
             omega = sc.species.omega_coupling - abs(laser.detuning)
             alpha = dipole.polarizability(mu_sq, sc.species.omega_coupling, omega)
-            v_c_si = dipole.coupling_scale(alpha, laser.wavevector, laser.intensity)
+            try:
+                v_c_si = dipole.coupling_scale(alpha, laser.wavevector, laser.intensity)
+            except OverflowError:  # k^3 of a very short wavelength
+                raise DomainError(
+                    f"coupling scale V_C overflows at lambda_C = {sc.lambda_coupling:g} m"
+                ) from None
             v_c = sc.units.energy_from_si(v_c_si)
         coupling = dipole.DipoleCoupling(
             v_c=v_c, lambda_c=sc.lambda_coupling, displacement=sc.displacement

@@ -203,11 +203,7 @@ class Scenario:
     optimizer_hi: float                   # a
     optimizer_temperatures: list = field(default_factory=list)
     sweep: tuple | None = None            # (parameter path, [internal values])
-    raw_text: str = ""
-
-    @property
-    def sha256(self):
-        return hashlib.sha256(self.raw_text.encode()).hexdigest()
+    sha256: str = ""                      # of the scenario document
 
     def with_param(self, path, value):
         """Copy of the scenario with one internal-unit parameter replaced."""
@@ -318,10 +314,13 @@ def _parse(text):
 
     species = _species(cp)
     # the lattice wavelength sets the units that the other keys resolve in
-    units = UnitSystem(species, _value(cp, "lattice", "lambda_L"))
-    if not units.e_rec > 0:
+    try:
+        units = UnitSystem(species, _value(cp, "lattice", "lambda_L"))
+    except ArithmeticError:  # m lambda_L^2 overflows, or underflows to 0
+        units = None
+    if units is None or not units.e_rec > 0:
         raise ScenarioError("mass and lattice wavelength give no finite recoil energy")
-    fields = {"species": species, "units": units, "raw_text": text}
+    fields = dict(species=species, units=units, sha256=hashlib.sha256(text.encode()).hexdigest())
     for section in ("lattice", "coupling", "state", "analysis", "sweep"):
         fields.update(_read(cp, section, units))
     fields["lambda_lattice"] = units.lambda_lattice

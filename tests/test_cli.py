@@ -178,6 +178,53 @@ def test_sweep_without_sweep_section(toy_scenario, tmp_path, capsys):
     assert rc == 2
 
 
+def test_sweep_without_sweep_section_prints_one_error_line(toy_scenario, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", toy_scenario, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: scenario has no [sweep] section\n"
+    assert not out.exists()
+
+
+HEAVY_SPECIES = (
+    "mass = 1e300\nlambda_L = 323 nm\ngamma_L = 1.2e6 s^-1\nlambda_C = 670.8 nm\ngamma_C = 3.7e7 s^-1"
+)
+NO_RECOIL_ENERGY = "mass and lattice wavelength give no finite recoil energy"
+
+# scenario text -> the one error line it is rejected with
+SCENARIO_REJECTIONS = {
+    "lattice-intensity-alone": (
+        TOY.replace("U0 = 7.42 Erec", "intensity = 1 W/cm^2"),
+        "lattice laser block needs both intensity and detuning"),
+    "coupling-intensity-alone": (
+        TOY.replace("V_dd = -2.16 Erec", "intensity = 1 W/cm^2"),
+        "coupling laser block needs both intensity and detuning"),
+    "species-missing-keys": (
+        TOY.replace("preset = lithium", "mass = 1.165e-26\nlambda_L = 323 nm"),
+        "species section missing keys ['gamma_C', 'gamma_L', 'lambda_C']"),
+    "huge-mass": (TOY.replace("preset = lithium", HEAVY_SPECIES), NO_RECOIL_ENERGY),
+    "huge-lambda_L": (TOY.replace("cutoff = 16", "cutoff = 16\nlambda_L = 1e200 m"),
+                      NO_RECOIL_ENERGY),
+    "tiny-lambda_L": (TOY.replace("cutoff = 16", "cutoff = 16\nlambda_L = 1e-200 m"),
+                      NO_RECOIL_ENERGY),
+    "optimizer-bounds-reversed": (
+        TOY + "optimizer_min = 5 a\noptimizer_max = 2 a\n",
+        "optimizer bounds must satisfy 0 < min < max"),
+    "sweep-without-values": (
+        TOY + "\n[sweep]\nparameter = state.T\n", "sweep section needs parameter and values"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_REJECTIONS))
+def test_scenario_rejection_prints_one_error_line(case, tmp_path, capsys):
+    text, message = SCENARIO_REJECTIONS[case]
+    path = tmp_path / "scenario.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["bands", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_invalid_scenario_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[lattice]\nU0 = 7 Erec\nwrong_key = 3\n")
@@ -242,6 +289,15 @@ def test_non_finite_laser_profile_fails_with_one_error_line(tmp_path, capsys):
     text = text.replace("displacement = 40 nm", "displacement = 1e-300 nm")
     pattern = r"error: V_dd at site offset 0 is -inf at this tube displacement\n"
     _assert_fails_with_one_error_line("report", text, tmp_path, capsys, pattern)
+
+
+def test_coupling_scale_overflow_fails_with_one_error_line(tmp_path, capsys):
+    # k^3 of the coupling laser overflows at this wavelength
+    text = TOY.replace(
+        "V_dd = -2.16 Erec", "intensity = 1 W/cm^2\ndetuning = -1000 gamma_C\nlambda_C = 1e-110 m"
+    )
+    pattern = r"error: coupling scale V_C overflows at lambda_C = 1e-110 m\n"
+    _assert_fails_with_one_error_line("diatom", text, tmp_path, capsys, pattern)
 
 
 @pytest.mark.parametrize("command, old, new", [

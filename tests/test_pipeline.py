@@ -5,6 +5,8 @@ point."""
 
 import hashlib
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -275,9 +277,14 @@ SWEEP_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("scenario, path", sorted(SWEEP_SHA256))
-def test_sweep_bytes_are_unchanged(scenario, path, tmp_path):
-    rc, out = run("sweep", sweep_text(SCENARIOS[scenario], path), tmp_path, "--jobs", "1")
+# every pin at --jobs 1, 2 and 3, so that points on concurrent threads read
+# one base model; the --jobs 1 cases keep their ids
+@pytest.mark.parametrize("scenario, path, jobs", [
+    pytest.param(scenario, path, jobs, id=f"{scenario}-{path}" + f"-jobs{jobs}" * (jobs > 1))
+    for scenario, path in sorted(SWEEP_SHA256) for jobs in (1, 2, 3)
+])
+def test_sweep_bytes_are_unchanged(scenario, path, jobs, tmp_path):
+    rc, out = run("sweep", sweep_text(SCENARIOS[scenario], path), tmp_path, "--jobs", str(jobs))
     assert rc == 0
     assert table_hashes(out) == {"sweep.csv": SWEEP_SHA256[scenario, path]}
 
@@ -302,6 +309,28 @@ def test_shared_points_equal_models_of_their_own(text, path):
     for value in sc.sweep[1]:
         shared = outcome(base.with_param(path, value))
         assert shared == outcome(pipeline.Model(sc.with_param(path, value)))
+
+
+@pytest.mark.parametrize("path", sorted(SWEEP_PARAMS))
+def test_sweep_points_on_many_threads_equal_models_of_their_own(path):
+    # 12 points on 8 threads (more than a CI runner's cores), switching
+    # often, all reading one base model whose shared stages are not built
+    # yet; ten times, each with a new base
+    sc = parse_scenario(sweep_text(TOY, path))
+    values = sc.sweep[1] * 4
+    own = [outcome(pipeline.Model(sc.with_param(path, v))) for v in values]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(10):
+                base = pipeline.Model(sc)
+                shared = pool.map(
+                    lambda v, base=base: outcome(base.with_param(path, v)), values, timeout=60
+                )
+                assert list(shared) == own
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize(
@@ -333,39 +362,31 @@ def test_sweep_builds_each_unreachable_stage_once(
     assert calls.count("block") == phases // 8 * 5
 
 
-class SerialPool:
-    """Stands in for ProcessPoolExecutor: runs the initializer once and every
-    task in this process, and records the worker and task counts."""
+class RecordingPool(cli.ThreadPoolExecutor):
+    """The sweep's thread pool, recording its worker and task counts."""
 
     workers = []
     tasks = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers):
         self.workers.append(max_workers)
-        initializer(*initargs)
+        super().__init__(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        self.tasks.append(len(tasks))
-        return map(fn, tasks)
+    def submit(self, fn, *args):
+        self.tasks.append(args)
+        return super().submit(fn, *args)
 
 
-@pytest.mark.parametrize("jobs, workers", [("64", [3]), ("2", [2]), ("1", [])])
+@pytest.mark.parametrize("jobs, workers", [("64", [3]), ("2", [2]), ("1", [1])])
 def test_sweep_starts_no_more_workers_than_points(jobs, workers, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(SerialPool, "workers", [])
-    monkeypatch.setattr(SerialPool, "tasks", [])
-    monkeypatch.setattr(cli, "_worker_base", None)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "workers", [])
+    monkeypatch.setattr(RecordingPool, "tasks", [])
     text = sweep_text(TOY, "state.T")
     rc, out = run("sweep", text, tmp_path, "--jobs", jobs)
     assert rc == 0
-    assert SerialPool.workers == workers
-    assert SerialPool.tasks == [3] * len(workers)  # one task per point
+    assert RecordingPool.workers == workers
+    assert len(RecordingPool.tasks) == 3  # one task per point
     assert table_hashes(out) == {"sweep.csv": SWEEP_SHA256["toy", "state.T"]}
 
 
