@@ -110,42 +110,20 @@ _POSITION_BLOCK_ROWS = 128
 _POSITION_TILE_COLS = 128
 
 
-def _member_map(weights, amplitudes):
-    """source[m]: the first earlier member whose weight equals that of
-    member m and whose amplitudes equal the conjugate of m's, bit for bit,
-    else m itself.
-
-    Members are compared by their bytes, so a member is reused only when
-    the grid term it would compute is the one already computed (see
-    _position_block).  Adding 0.0 first turns -0.0 into +0.0: conjugation
-    flips the sign of a zero imaginary part, and the grid only multiplies,
-    adds and takes moduli, where the sign of a zero can change only the
-    sign of a zero result, which the modulus drops.  A state without such
-    pairs gets the identity.
-    """
-    first = {}
-    source = np.arange(len(weights))
-    for m, (weight, c) in enumerate(zip(weights, amplitudes)):
-        key = weight.tobytes()
-        j = first.get((key, (c.conj() + 0.0).tobytes()))
-        if j is not None:
-            source[m] = source[j]
-        first.setdefault((key, (c + 0.0).tobytes()), m)
-    return source
-
-
 def _position_block(w, weights, amplitudes, source, out, lo, hi):
     """Weighted sum over the ensemble of |w[lo:hi] c w^T|^2 into out[lo:hi].
 
-    Each member m adds the term of member source[m] (see _member_map),
-    and only the members with source[m] == m are computed.  A member whose
-    amplitudes are the conjugate of another's, with the same weight, has
-    the same term bit for bit: the orbital w is real, so its first product
-    w[lo:hi] conj(c) is the conjugate of w[lo:hi] c (rounding to nearest is
-    symmetric under a change of sign), the real second product below then
-    flips only the sign of the imaginary part, and the modulus ignores it.
-    That the BLAS kernels keep this symmetry is observed, not promised, and
-    the tests check it against computing every member.
+    Each member m adds the term of member source[m] (a state's
+    conjugate_of), and only the members with source[m] == m are computed.
+    A member whose amplitudes equal the conjugate of another's, with the
+    same weight, has the same term bit for bit: the orbital w is real, so
+    its first product w[lo:hi] conj(c) is the conjugate of w[lo:hi] c
+    (rounding to nearest is symmetric under a change of sign), the real
+    second product below then flips only the sign of the imaginary part,
+    and the modulus ignores it.  The sign of a zero can change only the
+    sign of a zero result, which the modulus drops too.  That the BLAS
+    kernels keep this symmetry is observed, not promised, and the tests
+    check it against computing every member.
 
     The first products, left = w[lo:hi] c, are complex and are computed
     once per block.  The second one multiplies left by the real orbital, so
@@ -218,11 +196,10 @@ def joint_position_density(
     """P(x1, x2) = |sum_jl c_jl w(x1 - j) w(x2 - l)|^2 on the periodic box.
 
     ``orbital`` is a lattice.WannierState or lattice.GaussianOrbital.
-    Ensemble states are weight-averaged.  A member whose weight equals an
-    earlier member's and whose amplitudes are that member's conjugate, bit
-    for bit, has the same grid term, so its term is computed once and added
-    at both places (the theta > 0 members of a thermal state, whose ground
-    vectors diatom copies from -theta by conjugation).  The grid is
+    Ensemble states are weight-averaged.  A member that the state declares
+    the conjugate of an earlier one with its weight (``conjugate_of``: the
+    theta > 0 members of a thermal state) has that member's grid term, so
+    the term is computed once and added at both places.  The grid is
     evaluated in blocks of rows whose bounds depend only on the grid size,
     on up to ``jobs`` threads; the result does not depend on ``jobs``.
     Raises GridError when the grid step exceeds a quarter of the orbital
@@ -242,9 +219,8 @@ def joint_position_density(
     g = len(x)
     bounds = np.linspace(0, g, -(-g // _POSITION_BLOCK_ROWS) + 1).astype(int)
     dens = np.empty((g, g))
-    source = _member_map(state.weights, state.amplitudes)
     block = functools.partial(
-        _position_block, w, state.weights, state.amplitudes, source, dens
+        _position_block, w, state.weights, state.amplitudes, state.conjugate_of, dens
     )
     with ThreadPoolExecutor(max_workers=min(jobs, len(bounds) - 1)) as pool:
         list(pool.map(block, bounds[:-1], bounds[1:]))  # re-raises failures

@@ -78,35 +78,29 @@ class TwoAtomHamiltonian:
         is real positive.  The arrays are shared by every reader, so they
         are read-only.
 
-        Only the blocks with theta <= 0 are solved, one at a time: N/2 + 1
-        for even N, 33 of 64 on lithium-example.  The block at theta > 0 is
-        the complex conjugate of the block at -theta, so its row copies the
-        eigenvalues of the -theta row and the conjugate of its ground
-        vector.  That these equal a solve of the theta > 0 block bit for bit
-        is an observed property of LAPACK's zheevd, which the tests check
-        against solving every block.  The result is kept in the instance's
-        dict without a lock, like a ``pipeline._stage``.
+        Only the rows that are their own mirror (see _com_phases) are
+        solved: N/2 + 1 for even N, 33 of 64 on lithium-example.  The block
+        at theta > 0 is the conjugate of the block at -theta, so its row
+        copies the eigenvalues of its mirror row and the conjugate of its
+        ground vector, which LAPACK's zheevd is observed to match bit for
+        bit; the tests check it against solving every block.  The result is
+        kept in the instance's dict without a lock, like a ``pipeline._stage``.
         """
         if "blocks" in self.__dict__:
             return self.__dict__["blocks"]
         n = self.n_sites
-        thetas = _com_phases(n)
+        thetas, mirror = _com_phases(n)
         energies = np.empty((n, n))
         ground = np.empty((n, n), dtype=complex)
-        zero = (n + 1) // 2  # row of theta = 0
-        for i, th in enumerate(thetas):
-            if th > 0:
-                mirror = 2 * zero - i
-                if thetas[mirror] != -th:
-                    raise AssertionError(f"no -theta row for theta = {th!r}")
-                energies[i] = energies[mirror]
-                ground[i] = ground[mirror].conj()
-                continue
-            w, v = np.linalg.eigh(self.block(th))
+        paired = mirror != np.arange(n)
+        for i in np.flatnonzero(~paired):
+            w, v = np.linalg.eigh(self.block(thetas[i]))
             energies[i] = w
             g = v[:, 0]
             k = int(np.argmax(np.abs(g)))
             ground[i] = g * (abs(g[k]) / g[k])
+        energies[paired] = energies[mirror[paired]]
+        ground[paired] = ground[mirror[paired]].conj()
         for array in (thetas, energies, ground):
             array.flags.writeable = False
         self.__dict__["blocks"] = thetas, energies, ground
@@ -145,7 +139,11 @@ def build_hamiltonian(
 
 
 def _com_phases(n):
-    return 2.0 * np.pi * np.arange(-n // 2, n // 2) / n
+    """Center-of-mass phases theta = 2 pi k / N, k = -ceil(N/2) .. N//2 - 1,
+    and mirror[i], the row of -theta if theta > 0, else i."""
+    k = np.arange(-n // 2, n // 2)
+    mirror = np.where(k > 0, (n + 1) // 2 - k, np.arange(n))
+    return 2.0 * np.pi * k / n, mirror
 
 
 def dense_spectrum(h: TwoAtomHamiltonian) -> np.ndarray:
@@ -161,16 +159,26 @@ class TwoAtomState:
 
     ``amplitudes[m]`` is the N x N amplitude matrix over site pairs of
     member m and ``weights[m]`` its weight; weights sum to 1 and each member
-    is normalized.  ``regime_warning`` says why the ensemble is outside the
-    regime the model describes, when it is.
+    is normalized.  ``conjugate_of[m]`` = p < m marks member m as the
+    conjugate of member p = conjugate_of[p] with its weight, else it is m.
+    ``regime_warning`` says why the ensemble is outside the regime the model
+    describes, when it is.
     """
 
     weights: np.ndarray          # (M,)
     amplitudes: np.ndarray       # (M, N, N), complex
     bound_occupancy: float | None = None
     regime_warning: str | None = None
+    conjugate_of: np.ndarray | None = None  # (M,)
 
     def __post_init__(self):
+        m = np.size(self.weights)
+        if self.conjugate_of is None:
+            self.conjugate_of = np.arange(m)
+        source = self.conjugate_of = np.asarray(self.conjugate_of)
+        shapes = tuple(np.shape(a) for a in (self.weights, self.amplitudes, source))
+        if shapes != ((m,), (m,) + np.shape(self.amplitudes)[-1:] * 2, (m,)):
+            raise DomainError(f"shapes {shapes} are not (M,), (M, N, N) and (M,)")
         # written so that NaN fails the checks
         total = float(np.sum(self.weights))
         if not abs(total - 1.0) <= 1e-10:
@@ -179,6 +187,13 @@ class TwoAtomState:
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-10))
         if len(bad):
             raise DomainError(f"member norm {norms[bad[0]]} differs from 1")
+        members = np.arange(m)
+        if source.dtype.kind not in "iu" or not np.all((0 <= source) & (source <= members)):
+            raise DomainError("conjugate_of[m] must be the index of m or an earlier member")
+        for i, p in zip(members, source):
+            if p != i and not (source[p] == p and self.weights[i] == self.weights[p]
+                               and np.array_equal(self.amplitudes[i], self.amplitudes[p].conj())):
+                raise DomainError(f"member {i} is not the conjugate of member {p} with its weight")
 
     @property
     def n_sites(self):
@@ -305,8 +320,8 @@ def envelope_state(n_sites: int, sigma_e: float, j0: int | None = None) -> TwoAt
     Amplitudes c_jj ~ exp(-(j - j0)^2 / (2 sigma_E^2)), sigma_E in units of a.
     ``sigma_e = inf`` gives the uniform ideal lattice-EPR superposition.
     """
-    if sigma_e <= 0:
-        raise DomainError("envelope width must be positive")
+    if not sigma_e > 0:  # NaN fails too
+        raise DomainError(f"sigma_E = {sigma_e:g} a: envelope width must be positive")
     if j0 is None:
         j0 = n_sites // 2
     if not math.isinf(sigma_e) and 3.0 * sigma_e >= n_sites / 2.0:
@@ -343,7 +358,8 @@ def thermal_diatom_state(
     e0 = energies[:, 0]
     if temperature == 0.0:
         i0 = int(np.argmin(np.abs(thetas)))
-        sel = slice(i0, i0 + 1)
+        thetas, ground = thetas[i0 : i0 + 1], ground[i0 : i0 + 1]
+        conjugate_of = np.zeros(1, dtype=int)
         weights = np.ones(1)
         occupancy = 1.0
     else:
@@ -354,12 +370,17 @@ def thermal_diatom_state(
         occupancy = z_bound / z_all
         weights = np.exp(-beta * (e0 - e0.min()))
         weights /= weights.sum()
-        sel = slice(None)
-    amplitudes = _bloch_amplitudes(thetas[sel], ground[sel])
+        _, conjugate_of = _com_phases(n)
+    own = conjugate_of == np.arange(len(conjugate_of))
+    amplitudes = _bloch_amplitudes(thetas[own], ground[own])
     if sigma_e is not None:
         j = np.arange(n, dtype=float)
         amplitudes *= _envelope(n, sigma_e, j0, (j[:, None] + j[None, :]) / 2.0)
         amplitudes /= np.sqrt(np.sum(np.abs(amplitudes) ** 2, axis=(1, 2)))[:, None, None]
+    # each theta > 0 member is its -theta member conjugated: the blocks copy
+    # the energies and conjugate the ground vector, and the envelope is real
+    amplitudes = amplitudes[np.searchsorted(np.flatnonzero(own), conjugate_of)]
+    amplitudes.imag[~own] *= -1.0
     warning = None
     if occupancy < 0.9:
         warning = (
@@ -371,4 +392,5 @@ def thermal_diatom_state(
         amplitudes=amplitudes,
         bound_occupancy=occupancy,
         regime_warning=warning,
+        conjugate_of=conjugate_of,
     )

@@ -102,24 +102,6 @@ def _thermal_state(li_hopping, n, sigma_e):
     return diatom.thermal_diatom_state(h, 0.01, sigma_e=sigma_e)
 
 
-@pytest.mark.parametrize("n", [16, 17])
-@pytest.mark.parametrize("sigma_e", [None, 2.0])
-def test_position_density_member_map_pairs_each_theta_with_minus_theta(li_hopping, n, sigma_e):
-    # the theta > 0 members are the conjugates of the theta < 0 ones: N/2 - 1
-    # of them for even N, (N - 3)/2 for odd N, as many as diatom fills by
-    # conjugation
-    state = _thermal_state(li_hopping, n, sigma_e)
-    thetas = diatom._com_phases(n)
-    source = analysis._member_map(state.weights, state.amplitudes)
-    reused = np.flatnonzero(source != np.arange(n))
-    assert len(reused) == (n // 2 - 1 if n % 2 == 0 else (n - 3) // 2)
-    assert np.array_equal(thetas[reused], -thetas[source[reused]])
-    assert (thetas[reused] > 0).all()
-    for m in reused:
-        assert state.weights[m] == state.weights[source[m]]
-        assert np.array_equal(state.amplitudes[m], state.amplitudes[source[m]].conj())
-
-
 @pytest.mark.parametrize("jobs", [1, 3])
 @pytest.mark.parametrize("orbital", ["wannier", "gaussian"])
 @pytest.mark.parametrize("sigma_e", [None, 2.0])
@@ -131,7 +113,7 @@ def test_position_density_reuses_conjugate_members_exactly(
     # theta > 0 members' terms once, for their theta < 0 partners
     state = _thermal_state(li_hopping, n, sigma_e)
     orb = li_wannier if orbital == "wannier" else lattice.GaussianOrbital(0.136)
-    assert (analysis._member_map(state.weights, state.amplitudes) != np.arange(n)).any()
+    assert (state.conjugate_of != np.arange(n)).any()
     ref, _ = _position_density_unskipped(state, orb, 32)
     grid = analysis.joint_position_density(state, orb, 32, jobs=jobs)
     assert np.array_equal(grid.density, ref)
@@ -140,18 +122,18 @@ def test_position_density_reuses_conjugate_members_exactly(
 @pytest.mark.parametrize("change", ["weight", "amplitude"])
 def test_position_density_does_not_reuse_a_member_one_bit_off(li_hopping, li_wannier, change):
     # member 9 (theta = 2 pi / 16) is the conjugate of member 7; with its
-    # weight one ulp up or one amplitude bit flipped it is computed in full
+    # weight one ulp up or one amplitude bit flipped, a state that declares
+    # the pair is rejected, and without the pair member 9 is computed in full
     state = _thermal_state(li_hopping, 16, 2.0)
+    assert state.conjugate_of[9] == 7
     weights, amplitudes = state.weights.copy(), state.amplitudes.copy()
-    source = analysis._member_map(weights, amplitudes)
-    assert source[9] == 7
     if change == "weight":
         weights[9] = np.nextafter(weights[9], 1.0)
     else:
         bits = amplitudes[9].view(np.uint64).reshape(-1)
         bits[np.argmax(np.abs(amplitudes[9].view(np.float64)))] ^= np.uint64(1)
-    source[9] = 9
-    assert np.array_equal(analysis._member_map(weights, amplitudes), source)
+    with pytest.raises(DomainError, match="member 9 is not the conjugate of member 7"):
+        diatom.TwoAtomState(weights=weights, amplitudes=amplitudes, conjugate_of=state.conjugate_of)
     state = diatom.TwoAtomState(weights=weights, amplitudes=amplitudes)
     ref, _ = _position_density_unskipped(state, li_wannier, 32)
     grid = analysis.joint_position_density(state, li_wannier, 32, jobs=3)
@@ -228,10 +210,8 @@ def test_position_block_real_product_is_exact_for_a_conjugate_pair(g, n, lo, hi,
     w, weights, amplitudes = _random_block_inputs(g, n, lo, orbital)
     weights = np.insert(weights, 2, weights[0])
     amplitudes = np.insert(amplitudes, 2, amplitudes[0].conj(), axis=0)
-    source = analysis._member_map(weights, amplitudes)
-    assert source.tolist() == [0, 1, 0, 3]
     out = np.full((g, g), np.nan)
-    analysis._position_block(w, weights, amplitudes, source, out, lo, hi)
+    analysis._position_block(w, weights, amplitudes, np.array([0, 1, 0, 3]), out, lo, hi)
     assert np.array_equal(out[lo:hi], _block_reference(w, weights, amplitudes, lo, hi))
 
 

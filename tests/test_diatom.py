@@ -197,11 +197,43 @@ def test_state_rejects_non_finite_weights_and_norms(li_diatom_32):
         diatom.TwoAtomState(weights=np.full(2, 0.5), amplitudes=np.concatenate([c, c * np.nan]))
 
 
+def test_state_rejects_mismatched_member_counts():
+    c = np.eye(8, dtype=complex)[None] / math.sqrt(8.0)
+    half = np.full(2, 0.5)
+    for weights, amplitudes, conjugate_of in [
+        (half, np.concatenate([c, c, c]), None),
+        (half, np.concatenate([c, c]), np.arange(3)),
+        (half[None], np.concatenate([c, c]), None),
+        (half, np.concatenate([c, c])[:, :, :4] * math.sqrt(2.0), None),
+    ]:
+        with pytest.raises(DomainError, match="not \\(M,\\), \\(M, N, N\\) and \\(M,\\)"):
+            diatom.TwoAtomState(weights=weights, amplitudes=amplitudes, conjugate_of=conjugate_of)
+
+
+def test_state_rejects_a_malformed_pairing():
+    # a real member is its own conjugate, so member 1 may declare member 0;
+    # each pair must point back to an earlier member that is its own
+    c = np.eye(8, dtype=complex) / math.sqrt(8.0)
+    two = np.stack([c, c])
+    diatom.TwoAtomState(weights=np.full(2, 0.5), amplitudes=two, conjugate_of=np.array([0, 0]))
+    for conjugate_of in ([1, 1], [0, 0, 1], [0, 0.0, 2], [0, -1, 2]):
+        m = len(conjugate_of)
+        with pytest.raises(DomainError, match="conjugate"):
+            diatom.TwoAtomState(
+                weights=np.full(m, 1.0 / m),
+                amplitudes=np.stack([c] * m),
+                conjugate_of=np.array(conjugate_of),
+            )
+
+
 @pytest.mark.parametrize("sigma_e", [0.0, -6.0, math.nan])
 def test_thermal_state_rejects_a_non_positive_envelope_width(li_diatom_32, sigma_e):
-    # raised before any numpy call: filterwarnings = error fails a raw warning
+    # raised before any numpy call: filterwarnings = error fails a raw
+    # warning.  envelope_state shares the guard and its message
     with pytest.raises(DomainError, match="sigma_E"):
         diatom.thermal_diatom_state(li_diatom_32, 0.001, sigma_e=sigma_e)
+    with pytest.raises(DomainError, match="sigma_E"):
+        diatom.envelope_state(16, sigma_e)
 
 
 def solve_every_block(h):
@@ -249,3 +281,41 @@ def test_blocks_mirror_equals_solving_every_block(n, li_chains):
         for i in np.flatnonzero(thetas > 0):
             mirror = int(np.flatnonzero(thetas == -thetas[i])[0])
             assert np.array_equal(ground[mirror], ground[i].conj())
+
+
+@pytest.mark.parametrize(
+    "sigma_e, n",
+    [(None, n) for n in (8, 9, 16, 17, 64)]
+    + [(1.0, 8), (1.0, 9), (2.0, 16), (2.0, 17), (2.0, 64)],
+)
+def test_thermal_state_pairs_each_theta_with_minus_theta(li_chains, sigma_e, n):
+    """Each theta > 0 member is built as the conjugate of its -theta member,
+    with the same weight, and equals the member computed directly bit for
+    bit.  The rows left unpaired are theta = 0, theta = -pi for even N, and
+    the two negative phases without a positive partner for odd N.  An
+    envelope of 2 a is clipped at N = 8 and 9, which take 1 a.  CI runs this
+    again with two BLAS threads."""
+    profile, v_hops = li_chains
+    h = diatom.build_hamiltonian(n, v_hops[1], profile)
+    state = diatom.thermal_diatom_state(h, 0.01, sigma_e=sigma_e)
+    thetas, mirror = diatom._com_phases(n)
+    assert np.array_equal(thetas, h.blocks[0])
+    assert np.array_equal(state.conjugate_of, mirror)
+    paired = np.flatnonzero(mirror != np.arange(n))
+    assert len(paired) == (n // 2 - 1 if n % 2 == 0 else (n - 3) // 2)
+    assert np.array_equal(thetas[mirror[paired]], -thetas[paired])
+    assert (thetas[paired] > 0).all()
+    k = np.arange(-n // 2, n // 2)
+    unpaired = {0, -n // 2} if n % 2 == 0 else {0, -n // 2, -n // 2 + 1}
+    alone = np.setdiff1d(np.arange(n), np.concatenate([paired, mirror[paired]]))
+    assert set(k[alone].tolist()) == unpaired
+    for m in paired:
+        assert state.weights[m] == state.weights[mirror[m]]
+        assert np.array_equal(state.amplitudes[m], state.amplitudes[mirror[m]].conj())
+    # oracle: every member computed directly, the theta > 0 ones included
+    direct = diatom._bloch_amplitudes(thetas, h.blocks[2])
+    if sigma_e is not None:
+        j = np.arange(n, dtype=float)
+        direct *= diatom._envelope(n, sigma_e, n // 2, (j[:, None] + j[None, :]) / 2.0)
+        direct /= np.sqrt(np.sum(np.abs(direct) ** 2, axis=(1, 2)))[:, None, None]
+    assert np.array_equal(state.amplitudes, direct)
