@@ -237,8 +237,8 @@ def _positive_int(text):
 
 def _warn(message):
     """Print a regime warning to stderr; the tables are written all the same.
-    A command prints the displacement warning after its tables, so one that
-    fails prints its error line alone."""
+    A command prints its warnings after its tables, so one that fails prints
+    its error line alone."""
     if message:
         print(f"warning: {message}", file=sys.stderr)
 
@@ -291,7 +291,6 @@ def _cmd_diatom(sc: Scenario, writer: _Writer, args):
 def _cmd_distributions(sc: Scenario, writer: _Writer, args):
     model = pipeline.Model(sc)
     state = model.state
-    _warn(state.regime_warning)
     orbital = model.wannier0
     pos = analysis.joint_position_density(state, orbital, sc.samples_per_site, jobs=writer.jobs)
     writer.table("position_joint." + args.format, ["x1", "x2", "density"], pos)
@@ -328,6 +327,7 @@ def _cmd_distributions(sc: Scenario, writer: _Writer, args):
         ["p_plus", "probability"],
         list(zip(p_plus, probs)),
     )
+    _warn(state.regime_warning)
     _warn(dipole.displacement_warning(sc.displacement, sc.units.a))
     return 0
 

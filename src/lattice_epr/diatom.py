@@ -69,43 +69,6 @@ class TwoAtomHamiltonian:
         h[idx, (idx + 1) % n] += upper
         return h
 
-    @property
-    def blocks(self):
-        """Every center-of-mass block diagonalized, computed on first read.
-
-        (thetas, all eigenvalues (N, N), bound-branch eigenvectors (N, N)),
-        each eigenvector in the gauge where its largest-magnitude component
-        is real positive.  The arrays are shared by every reader, so they
-        are read-only.
-
-        Only the rows that are their own mirror (see _com_phases) are
-        solved: N/2 + 1 for even N, 33 of 64 on lithium-example.  The block
-        at theta > 0 is the conjugate of the block at -theta, so its row
-        copies the eigenvalues of its mirror row and the conjugate of its
-        ground vector, which LAPACK's zheevd is observed to match bit for
-        bit; the tests check it against solving every block.  The result is
-        kept in the instance's dict without a lock, like a ``pipeline._stage``.
-        """
-        if "blocks" in self.__dict__:
-            return self.__dict__["blocks"]
-        n = self.n_sites
-        thetas, mirror = _com_phases(n)
-        energies = np.empty((n, n))
-        ground = np.empty((n, n), dtype=complex)
-        paired = mirror != np.arange(n)
-        for i in np.flatnonzero(~paired):
-            w, v = np.linalg.eigh(self.block(thetas[i]))
-            energies[i] = w
-            g = v[:, 0]
-            k = int(np.argmax(np.abs(g)))
-            ground[i] = g * (abs(g[k]) / g[k])
-        energies[paired] = energies[mirror[paired]]
-        ground[paired] = ground[mirror[paired]].conj()
-        for array in (thetas, energies, ground):
-            array.flags.writeable = False
-        self.__dict__["blocks"] = thetas, energies, ground
-        return self.__dict__["blocks"]
-
     def dense(self) -> np.ndarray:
         """Full N^2 x N^2 matrix in the |j, l> basis (oracle path)."""
         n = self.n_sites
@@ -153,7 +116,7 @@ def dense_spectrum(h: TwoAtomHamiltonian) -> np.ndarray:
     return np.linalg.eigvalsh(h.dense())
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwoAtomState:
     """Pure state or Boltzmann ensemble of two-atom amplitude matrices.
 
@@ -162,7 +125,8 @@ class TwoAtomState:
     is normalized.  ``conjugate_of[m]`` = p < m marks member m as the
     conjugate of member p = conjugate_of[p] with its weight, else it is m.
     ``regime_warning`` says why the ensemble is outside the regime the model
-    describes, when it is.
+    describes, when it is.  The arrays are made read-only once they pass the
+    checks, so a declared pair cannot go stale.
     """
 
     weights: np.ndarray          # (M,)
@@ -173,9 +137,8 @@ class TwoAtomState:
 
     def __post_init__(self):
         m = np.size(self.weights)
-        if self.conjugate_of is None:
-            self.conjugate_of = np.arange(m)
-        source = self.conjugate_of = np.asarray(self.conjugate_of)
+        source = np.arange(m) if self.conjugate_of is None else np.asarray(self.conjugate_of)
+        object.__setattr__(self, "conjugate_of", source)
         shapes = tuple(np.shape(a) for a in (self.weights, self.amplitudes, source))
         if shapes != ((m,), (m,) + np.shape(self.amplitudes)[-1:] * 2, (m,)):
             raise DomainError(f"shapes {shapes} are not (M,), (M, N, N) and (M,)")
@@ -194,6 +157,8 @@ class TwoAtomState:
             if p != i and not (source[p] == p and self.weights[i] == self.weights[p]
                                and np.array_equal(self.amplitudes[i], self.amplitudes[p].conj())):
                 raise DomainError(f"member {i} is not the conjugate of member {p} with its weight")
+        for array in (self.weights, self.amplitudes, source):
+            array.flags.writeable = False
 
     @property
     def n_sites(self):
@@ -228,12 +193,11 @@ def _bloch_amplitudes(thetas, g):
     return np.exp(1j * thetas[:, None] * j)[:, :, None] * g[:, rel] / math.sqrt(n)
 
 
-def ground_state(h: TwoAtomHamiltonian) -> TwoAtomState:
+def ground_state(band: DiatomBand) -> TwoAtomState:
     """Lowest eigenstate (center-of-mass phase 0) of the two-atom model, the
     zero-temperature ensemble, once the bound pair is checked to fit the box."""
-    n = h.n_sites
-    thetas, _, ground = h.blocks
-    g = ground[int(np.argmin(np.abs(thetas)))]
+    g = band.vectors[int(np.argmin(np.abs(band.thetas)))]
+    n = len(g)
     d = np.arange(n)
     d_wrapped = np.minimum(d, n - d)
     width = math.sqrt(float(np.sum(np.abs(g) ** 2 * d_wrapped.astype(float) ** 2)))
@@ -241,15 +205,18 @@ def ground_state(h: TwoAtomHamiltonian) -> TwoAtomState:
         raise SizeError(
             f"bound-state width {width:.1f} sites exceeds N/4; increase N"
         )
-    return thermal_diatom_state(h, 0.0)
+    return thermal_diatom_state(band, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiatomBand:
-    """Bound branch of the two-atom spectrum versus center-of-mass momentum."""
+    """Bound branch of the two-atom spectrum versus center-of-mass momentum,
+    with the solved blocks that the pair states are built from."""
 
     thetas: np.ndarray           # K a
     energies: np.ndarray         # bound-branch E(K), E_rec
+    spectra: np.ndarray          # (N, N): every eigenvalue of the block at thetas[i]
+    vectors: np.ndarray          # (N, N): its bound-branch eigenvector
     v_hop_fit: float             # nearest-neighbor Fourier coefficient
     bandwidth: float
     fit_residual_rms: float
@@ -259,10 +226,35 @@ class DiatomBand:
 
 
 def diatom_band_exact(h: TwoAtomHamiltonian) -> DiatomBand:
-    """Extract and fit the bound-diatom band from the block spectra."""
-    thetas, energies, _ = h.blocks
-    e0 = energies[:, 0]
-    e1 = energies[:, 1]
+    """Diagonalize every center-of-mass block and fit the bound-diatom band.
+
+    Each bound-branch vector is in the gauge where its largest-magnitude
+    component is real positive.  Only the rows that are their own mirror
+    (see _com_phases) are solved: N/2 + 1 for even N, 33 of 64 on
+    lithium-example.  The block at theta > 0 is the conjugate of the block
+    at -theta, so its row copies the eigenvalues of its mirror row and the
+    conjugate of its bound vector, which LAPACK's zheevd is observed to
+    match bit for bit; the tests check it against solving every block.  The
+    arrays are shared by every state built from the band, so they are
+    read-only.
+    """
+    n = h.n_sites
+    thetas, mirror = _com_phases(n)
+    spectra = np.empty((n, n))
+    vectors = np.empty((n, n), dtype=complex)
+    paired = mirror != np.arange(n)
+    for i in np.flatnonzero(~paired):
+        w, v = np.linalg.eigh(h.block(thetas[i]))
+        spectra[i] = w
+        g = v[:, 0]
+        k = int(np.argmax(np.abs(g)))
+        vectors[i] = g * (abs(g[k]) / g[k])
+    spectra[paired] = spectra[mirror[paired]]
+    vectors[paired] = vectors[mirror[paired]].conj()
+    for array in (thetas, spectra, vectors):
+        array.flags.writeable = False
+    e0 = spectra[:, 0]
+    e1 = spectra[:, 1]
     if e0.max() >= e1.min():
         raise RegimeError(
             "bound branch overlaps the continuum (|V_dd| <~ 4 |V_hop|)"
@@ -274,6 +266,8 @@ def diatom_band_exact(h: TwoAtomHamiltonian) -> DiatomBand:
     return DiatomBand(
         thetas=thetas,
         energies=e0,
+        spectra=spectra,
+        vectors=vectors,
         v_hop_fit=v_fit,
         bandwidth=bandwidth,
         fit_residual_rms=rms,
@@ -333,7 +327,7 @@ def envelope_state(n_sites: int, sigma_e: float, j0: int | None = None) -> TwoAt
 
 
 def thermal_diatom_state(
-    h: TwoAtomHamiltonian,
+    band: DiatomBand,
     temperature: float,
     sigma_e: float | None = None,
     j0: int | None = None,
@@ -349,22 +343,21 @@ def thermal_diatom_state(
         raise DomainError("temperature must be non-negative")
     if sigma_e is not None and not sigma_e > 0:  # NaN fails too
         raise DomainError(f"sigma_E = {sigma_e:g} a: envelope width must be positive")
-    n = h.n_sites
+    thetas, e0, vectors = band.thetas, band.energies, band.vectors
+    n = len(thetas)
     if j0 is None:
         j0 = n // 2
     if sigma_e is not None and 3.0 * sigma_e >= n / 2.0:
         raise SizeError("envelope clipped by the periodic boundary")
-    thetas, energies, ground = h.blocks
-    e0 = energies[:, 0]
     if temperature == 0.0:
         i0 = int(np.argmin(np.abs(thetas)))
-        thetas, ground = thetas[i0 : i0 + 1], ground[i0 : i0 + 1]
+        thetas, vectors = thetas[i0 : i0 + 1], vectors[i0 : i0 + 1]
         conjugate_of = np.zeros(1, dtype=int)
         weights = np.ones(1)
         occupancy = 1.0
     else:
         beta = 1.0 / temperature
-        shifted = energies - e0.min()
+        shifted = band.spectra - e0.min()
         z_all = float(np.sum(np.exp(-beta * shifted)))
         z_bound = float(np.sum(np.exp(-beta * shifted[:, 0])))
         occupancy = z_bound / z_all
@@ -372,13 +365,13 @@ def thermal_diatom_state(
         weights /= weights.sum()
         _, conjugate_of = _com_phases(n)
     own = conjugate_of == np.arange(len(conjugate_of))
-    amplitudes = _bloch_amplitudes(thetas[own], ground[own])
+    amplitudes = _bloch_amplitudes(thetas[own], vectors[own])
     if sigma_e is not None:
         j = np.arange(n, dtype=float)
         amplitudes *= _envelope(n, sigma_e, j0, (j[:, None] + j[None, :]) / 2.0)
         amplitudes /= np.sqrt(np.sum(np.abs(amplitudes) ** 2, axis=(1, 2)))[:, None, None]
-    # each theta > 0 member is its -theta member conjugated: the blocks copy
-    # the energies and conjugate the ground vector, and the envelope is real
+    # each theta > 0 member is its -theta member conjugated: the band copies
+    # the energies and conjugates the bound vector, and the envelope is real
     amplitudes = amplitudes[np.searchsorted(np.flatnonzero(own), conjugate_of)]
     amplitudes.imag[~own] *= -1.0
     warning = None

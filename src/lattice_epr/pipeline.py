@@ -99,8 +99,8 @@ _QUANTITIES = {
 # which every point of a sweep takes from one base model
 _LATTICE_STAGES = ("spectrum", "hopping", "width", "wannier0")
 _SHARED_STAGES = {
-    "state.T": _LATTICE_STAGES + ("profile", "hamiltonian", "band"),
-    "state.sigma_E": _LATTICE_STAGES + ("profile", "hamiltonian", "band"),
+    "state.T": _LATTICE_STAGES + ("profile", "band"),
+    "state.sigma_E": _LATTICE_STAGES + ("profile", "band"),
     "coupling.V_dd": _LATTICE_STAGES,
     "lattice.U0": ("profile",),
 }
@@ -125,13 +125,19 @@ def _stage(build):
     return property(get)
 
 
-def is_golden_scenario(sc: Scenario) -> bool:
-    return (
-        sc.species.name == "lithium"
-        and abs(sc.u0 - 7.42) < 5e-3
-        and sc.v_dd is not None
-        and abs(sc.v_dd + 2.16) < 5e-3
-    )
+def _golden_refs(sc: Scenario) -> dict:
+    """The references of ``_GOLDEN_REFS`` that apply to ``sc``: none outside
+    the worked lithium scheme, and the two s values only at its sigma_E of
+    6 a, which ``_s_at`` also takes where the scenario sets none."""
+
+    def near(value, ref):
+        return value is not None and abs(value - ref) < 5e-3
+
+    if sc.species.name != "lithium" or not (near(sc.u0, 7.42) and near(sc.v_dd, -2.16)):
+        return {}
+    if sc.sigma_e is None or near(sc.sigma_e, 6.0):
+        return _GOLDEN_REFS
+    return {k: v for k, v in _GOLDEN_REFS.items() if k not in ("s_10nK", "s_100nK")}
 
 
 class Model:
@@ -229,31 +235,23 @@ class Model:
         return profile
 
     @_stage
-    def hamiltonian(self) -> diatom.TwoAtomHamiltonian:
-        sc = self.scenario
-        return diatom.build_hamiltonian(
-            sc.n_sites,
-            self.hopping.v_hop,
-            self.profile,
-            include_offsite=sc.include_offsite,
-        )
-
-    @_stage
     def band(self) -> diatom.DiatomBand:
-        return diatom.diatom_band_exact(self.hamiltonian)
+        sc = self.scenario
+        h = diatom.build_hamiltonian(
+            sc.n_sites, self.hopping.v_hop, self.profile, include_offsite=sc.include_offsite
+        )
+        return diatom.diatom_band_exact(h)
 
     @_stage
     def state(self) -> diatom.TwoAtomState:
         sc = self.scenario
-        self.band  # no pair state without a bound branch, in any mode
+        band = self.band  # no pair state without a bound branch, in any mode
         if sc.state_mode == "ground":
-            return diatom.ground_state(self.hamiltonian)
+            return diatom.ground_state(band)
         if sc.state_mode == "envelope":
             return diatom.envelope_state(sc.n_sites, sc.sigma_e, sc.j0)
         if sc.state_mode == "thermal":
-            return diatom.thermal_diatom_state(
-                self.hamiltonian, sc.temperature, sigma_e=sc.sigma_e, j0=sc.j0
-            )
+            return diatom.thermal_diatom_state(band, sc.temperature, sigma_e=sc.sigma_e, j0=sc.j0)
         raise ScenarioError(f"unknown state mode {sc.state_mode!r}")
 
     def quantities(self, table) -> dict:
@@ -272,14 +270,15 @@ class Model:
         """Comparison table rows: (name, computed, reference, rel_diff,
         tolerance, verdict).
 
-        Reference columns are filled only for the worked lithium scheme.
+        Reference columns are filled only for the worked lithium scheme, and
+        its s rows only at sigma_E = 6 a.
         """
-        golden = is_golden_scenario(self.scenario)
+        refs = _golden_refs(self.scenario)
         rows = []
         for name, value in self.quantities("report").items():
             ref = tol = rel = verdict = None
-            if golden and name in _GOLDEN_REFS:
-                ref, tol = _GOLDEN_REFS[name]
+            if name in refs:
+                ref, tol = refs[name]
                 rel = abs(value - ref) / abs(ref)
                 verdict = "pass" if rel <= tol else "fail"
             rows.append((name, value, ref, rel, tol, verdict))

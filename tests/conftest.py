@@ -47,5 +47,10 @@ def li_diatom_32(li_hopping, li_profile):
 
 
 @pytest.fixture(scope="session")
-def li_ground_32(li_diatom_32):
-    return diatom.ground_state(li_diatom_32)
+def li_band_32(li_diatom_32):
+    return diatom.diatom_band_exact(li_diatom_32)
+
+
+@pytest.fixture(scope="session")
+def li_ground_32(li_band_32):
+    return diatom.ground_state(li_band_32)

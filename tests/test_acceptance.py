@@ -104,7 +104,7 @@ def test_thermal_sum_momentum_equipartition(li_hopping, li_profile):
     band = diatom.diatom_band_exact(h)
     for fraction in (0.1, 0.25, 0.4):
         t = fraction * band.bandwidth
-        state = diatom.thermal_diatom_state(h, t)
+        state = diatom.thermal_diatom_state(band, t)
         dp = analysis.folded_sum_momentum_width(state, estimator="hwhm")
         expected = analysis.delta_p_plus_thermal(VDD_LI, li_hopping.v_hop, t)
         assert dp == pytest.approx(expected, rel=0.10)

@@ -21,7 +21,7 @@ from conftest import nearest_only_profile
 @pytest.fixture(scope="module")
 def small_ground(li_hopping):
     h = diatom.build_hamiltonian(16, li_hopping.v_hop, nearest_only_profile(-2.16))
-    return diatom.ground_state(h)
+    return diatom.ground_state(diatom.diatom_band_exact(h))
 
 
 def test_position_density_normalizes(small_ground, li_wannier):
@@ -53,7 +53,7 @@ def _position_density_unblocked(state, orbital, samples_per_site):
 def test_position_density_matches_unblocked_loop(li_hopping, li_wannier, jobs):
     # 20 sites x 32 samples: G = 640 rows, five row blocks
     h = diatom.build_hamiltonian(20, li_hopping.v_hop, nearest_only_profile(-2.16))
-    state = diatom.thermal_diatom_state(h, 0.01, sigma_e=2.0)
+    state = diatom.thermal_diatom_state(diatom.diatom_band_exact(h), 0.01, sigma_e=2.0)
     assert len(state.weights) > 1
     grid = analysis.joint_position_density(state, li_wannier, 32, jobs=jobs)
     ref = _position_density_unblocked(state, li_wannier, 32)
@@ -88,7 +88,7 @@ def _position_density_unskipped(state, orbital, samples_per_site):
 @pytest.mark.parametrize("orbital", ["wannier", "gaussian"])
 def test_position_density_skips_only_exact_zeros(li_hopping, li_wannier, orbital, jobs):
     h = diatom.build_hamiltonian(20, li_hopping.v_hop, nearest_only_profile(-2.16))
-    state = diatom.thermal_diatom_state(h, 0.01, sigma_e=2.0)
+    state = diatom.thermal_diatom_state(diatom.diatom_band_exact(h), 0.01, sigma_e=2.0)
     orb = li_wannier if orbital == "wannier" else lattice.GaussianOrbital(0.136)
     ref, has_zeros = _position_density_unskipped(state, orb, 32)
     # the Gaussian orbital underflows to exact zeros beyond ~7 sites
@@ -99,7 +99,7 @@ def test_position_density_skips_only_exact_zeros(li_hopping, li_wannier, orbital
 
 def _thermal_state(li_hopping, n, sigma_e):
     h = diatom.build_hamiltonian(n, li_hopping.v_hop, nearest_only_profile(-2.16))
-    return diatom.thermal_diatom_state(h, 0.01, sigma_e=sigma_e)
+    return diatom.thermal_diatom_state(diatom.diatom_band_exact(h), 0.01, sigma_e=sigma_e)
 
 
 @pytest.mark.parametrize("jobs", [1, 3])

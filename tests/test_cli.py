@@ -21,6 +21,7 @@ from lattice_epr import __version__
 from lattice_epr.analysis import DistributionGrid
 from lattice_epr import cli
 from lattice_epr.cli import _fmt, _Writer, main
+from lattice_epr.scenario import LITHIUM_EXAMPLE
 
 TOY = """\
 [species]
@@ -90,6 +91,21 @@ def test_report_lithium_example_passes(tmp_path, capsys):
     assert verdicts["s_10nK"] == "pass"
     assert verdicts["s_100nK"] == "pass"
     assert "fail" not in verdicts.values()
+
+
+def test_report_grades_s_only_at_the_reference_sigma_e(tmp_path, capsys):
+    # the s references are the worked scheme's values at sigma_E = 6 a; at
+    # 4 a the two s rows carry none, and the other four keep their verdicts
+    path = tmp_path / "lithium4.ini"
+    path.write_text(LITHIUM_EXAMPLE.replace("sigma_E = 6 a", "sigma_E = 4 a"))
+    out = tmp_path / "out"
+    assert main(["report", "--scenario", str(path), "--out", str(out)]) == 0
+    _, _, rows = read_table(out / "report.csv")
+    graded = {r[0]: r[2:] for r in rows}
+    assert graded["s_10nK"] == graded["s_100nK"] == ["", "", "", ""]
+    verdicts = {name: r[3] for name, r in graded.items() if r[3]}
+    assert verdicts == dict.fromkeys(("v_hop", "sigma", "v2at_pert", "mass_ratio_2at"), "pass")
+    assert "s_10nK" not in capsys.readouterr().out
 
 
 def test_bands_outputs_are_byte_deterministic(toy_scenario, tmp_path):
@@ -254,6 +270,46 @@ def _assert_fails_with_one_error_line(command, text, tmp_path, capsys, pattern):
     assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
     assert re.fullmatch(pattern, capsys.readouterr().err)
     assert not out.exists() or not list(out.iterdir())
+
+
+def test_failing_distributions_prints_its_error_line_alone(tmp_path, capsys):
+    # a hot ensemble (bound-branch occupancy 0.52) on a grid too coarse for
+    # the orbital: the regime warning would follow the tables, which the
+    # grid check stops
+    text = (
+        TOY.replace("sites = 8", "sites = 9")
+        .replace("mode = ground", "mode = thermal\nT = 1 Erec")
+        .replace("samples_per_site = 32", "samples_per_site = 8")
+    )
+    pattern = r"error: grid step 0\.1250 a coarser than orbital sigma/4 = \S+ a\n"
+    _assert_fails_with_one_error_line("distributions", text, tmp_path, capsys, pattern)
+
+
+NO_COUPLING = TOY.replace("[coupling]\ndisplacement = 40 nm\nV_dd = -2.16 Erec\n\n", "") + (
+    "\n[sweep]\nparameter = state.T\nvalues = 5 nK, 10 nK\n"
+)
+NO_DISPLACEMENT = "scenario has no coupling displacement"
+
+
+@pytest.mark.parametrize("command, prefix", [
+    ("diatom", ""), ("report", ""), ("distributions", ""),
+    # like every sweep error, the line names the point that raised it
+    ("sweep", r"sweep point state\.T = \S+: "),
+])
+def test_scenario_without_coupling_fails_in_the_pair_commands(command, prefix, tmp_path, capsys):
+    assert "[coupling]" not in NO_COUPLING
+    pattern = rf"error: {prefix}{NO_DISPLACEMENT}\n"
+    _assert_fails_with_one_error_line(command, NO_COUPLING, tmp_path, capsys, pattern)
+
+
+@pytest.mark.parametrize("command", ["bands", "optimize"])
+def test_scenario_without_coupling_runs_the_single_atom_commands(command, tmp_path, capsys):
+    path = tmp_path / "scenario.ini"
+    path.write_text(NO_COUPLING)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert list(out.iterdir())
 
 
 def test_out_below_a_regular_file_fails_with_one_error_line(toy_scenario, tmp_path, capsys):

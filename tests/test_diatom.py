@@ -1,5 +1,6 @@
 """Two-atom bound states, the diatom band, and prepared ensembles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -114,36 +115,55 @@ def test_envelope_state_width_and_guards():
         diatom.envelope_state(16, 4.0)
 
 
-def test_thermal_state_weights_and_occupancy(li_diatom_32):
-    st = diatom.thermal_diatom_state(li_diatom_32, 0.001)
+def test_thermal_state_weights_and_occupancy(li_band_32):
+    st = diatom.thermal_diatom_state(li_band_32, 0.001)
     assert np.sum(st.weights) == pytest.approx(1.0, abs=1e-10)
     assert st.bound_occupancy > 0.999
     assert st.regime_warning is None
     # zero temperature collapses to the single zone-center member
-    st0 = diatom.thermal_diatom_state(li_diatom_32, 0.0)
+    st0 = diatom.thermal_diatom_state(li_band_32, 0.0)
     assert len(st0.weights) == 1
 
 
-def test_thermal_state_flags_hot_ensemble(li_diatom_32):
-    st = diatom.thermal_diatom_state(li_diatom_32, 1.0)
+def test_thermal_state_flags_hot_ensemble(li_band_32):
+    st = diatom.thermal_diatom_state(li_band_32, 1.0)
     assert st.bound_occupancy < 0.9
     assert "occupancy" in st.regime_warning
 
 
 def test_thermal_momentum_spread_grows_with_temperature(li_hopping, li_profile):
-    h = diatom.build_hamiltonian(64, li_hopping.v_hop, li_profile)
+    band = diatom.diatom_band_exact(diatom.build_hamiltonian(64, li_hopping.v_hop, li_profile))
     widths = []
     for t in (2e-4, 8e-4, 2e-3):
-        st = diatom.thermal_diatom_state(h, t)
+        st = diatom.thermal_diatom_state(band, t)
         p, probs = st.sum_momentum_distribution()
         mean = float(np.sum(p * probs))
         widths.append(math.sqrt(float(np.sum(probs * (p - mean) ** 2))))
     assert widths[0] < widths[1] < widths[2]
 
 
-def test_thermal_envelope_guard(li_diatom_32):
+def test_thermal_envelope_guard(li_band_32):
     with pytest.raises(SizeError):
-        diatom.thermal_diatom_state(li_diatom_32, 0.001, sigma_e=8.0)
+        diatom.thermal_diatom_state(li_band_32, 0.001, sigma_e=8.0)
+
+
+def test_thermal_state_rejects_a_negative_temperature(li_band_32):
+    with pytest.raises(DomainError, match="temperature must be non-negative"):
+        diatom.thermal_diatom_state(li_band_32, -1e-3)
+
+
+def test_state_and_band_are_read_only(li_band_32):
+    # a declared pair cannot go stale: neither a member nor a field can be
+    # replaced once the state's checks pass
+    state = diatom.thermal_diatom_state(li_band_32, 0.001, sigma_e=2.0)
+    assert state.conjugate_of[17] == 15
+    for array in (state.weights, state.amplitudes, state.conjugate_of):
+        with pytest.raises(ValueError, match="read-only"):
+            array[17] = array[15]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.amplitudes = state.amplitudes.copy()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        li_band_32.vectors = li_band_32.vectors.copy()
 
 
 
@@ -227,18 +247,18 @@ def test_state_rejects_a_malformed_pairing():
 
 
 @pytest.mark.parametrize("sigma_e", [0.0, -6.0, math.nan])
-def test_thermal_state_rejects_a_non_positive_envelope_width(li_diatom_32, sigma_e):
+def test_thermal_state_rejects_a_non_positive_envelope_width(li_band_32, sigma_e):
     # raised before any numpy call: filterwarnings = error fails a raw
     # warning.  envelope_state shares the guard and its message
     with pytest.raises(DomainError, match="sigma_E"):
-        diatom.thermal_diatom_state(li_diatom_32, 0.001, sigma_e=sigma_e)
+        diatom.thermal_diatom_state(li_band_32, 0.001, sigma_e=sigma_e)
     with pytest.raises(DomainError, match="sigma_E"):
         diatom.envelope_state(16, sigma_e)
 
 
 def solve_every_block(h):
-    """Reference for TwoAtomHamiltonian.blocks: one eigh per phase, theta > 0
-    included."""
+    """Reference for the blocks that diatom_band_exact solves: one eigh of
+    the complex block per phase, theta > 0 included."""
     n = h.n_sites
     thetas = 2.0 * np.pi * np.arange(-n // 2, n // 2) / n
     energies = np.empty((n, n))
@@ -273,10 +293,12 @@ def test_blocks_mirror_equals_solving_every_block(n, li_chains):
     profile, v_hops = li_chains
     for v_hop in v_hops:
         h = diatom.build_hamiltonian(n, v_hop, profile)
-        got = h.blocks
+        band = diatom.diatom_band_exact(h)
+        got = band.thetas, band.spectra, band.vectors
         for array, expected in zip(got, solve_every_block(h)):
             assert np.array_equal(array, expected)
             assert not array.flags.writeable
+        assert np.array_equal(band.energies, band.spectra[:, 0])
         thetas, _, ground = got
         for i in np.flatnonzero(thetas > 0):
             mirror = int(np.flatnonzero(thetas == -thetas[i])[0])
@@ -297,9 +319,10 @@ def test_thermal_state_pairs_each_theta_with_minus_theta(li_chains, sigma_e, n):
     again with two BLAS threads."""
     profile, v_hops = li_chains
     h = diatom.build_hamiltonian(n, v_hops[1], profile)
-    state = diatom.thermal_diatom_state(h, 0.01, sigma_e=sigma_e)
+    band = diatom.diatom_band_exact(h)
+    state = diatom.thermal_diatom_state(band, 0.01, sigma_e=sigma_e)
     thetas, mirror = diatom._com_phases(n)
-    assert np.array_equal(thetas, h.blocks[0])
+    assert np.array_equal(thetas, band.thetas)
     assert np.array_equal(state.conjugate_of, mirror)
     paired = np.flatnonzero(mirror != np.arange(n))
     assert len(paired) == (n // 2 - 1 if n % 2 == 0 else (n - 3) // 2)
@@ -312,8 +335,9 @@ def test_thermal_state_pairs_each_theta_with_minus_theta(li_chains, sigma_e, n):
     for m in paired:
         assert state.weights[m] == state.weights[mirror[m]]
         assert np.array_equal(state.amplitudes[m], state.amplitudes[mirror[m]].conj())
-    # oracle: every member computed directly, the theta > 0 ones included
-    direct = diatom._bloch_amplitudes(thetas, h.blocks[2])
+    # oracle: every member computed directly from every block solved, the
+    # theta > 0 ones included
+    direct = diatom._bloch_amplitudes(thetas, solve_every_block(h)[2])
     if sigma_e is not None:
         j = np.arange(n, dtype=float)
         direct *= diatom._envelope(n, sigma_e, n // 2, (j[:, None] + j[None, :]) / 2.0)
