@@ -36,7 +36,6 @@ __all__ = [
     "TwoAtomState",
     "DiatomBand",
     "build_hamiltonian",
-    "ground_state",
     "diatom_band_exact",
     "dense_spectrum",
     "hopping_two_atom",
@@ -124,15 +123,13 @@ class TwoAtomState:
     member m and ``weights[m]`` its weight; weights sum to 1 and each member
     is normalized.  ``conjugate_of[m]`` = p < m marks member m as the
     conjugate of member p = conjugate_of[p] with its weight, else it is m.
-    ``regime_warning`` says why the ensemble is outside the regime the model
-    describes, when it is.  The arrays are made read-only once they pass the
-    checks, so a declared pair cannot go stale.
+    The arrays are made read-only once they pass the checks, so a declared
+    pair cannot go stale.
     """
 
     weights: np.ndarray          # (M,)
     amplitudes: np.ndarray       # (M, N, N), complex
     bound_occupancy: float | None = None
-    regime_warning: str | None = None
     conjugate_of: np.ndarray | None = None  # (M,)
 
     def __post_init__(self):
@@ -164,6 +161,17 @@ class TwoAtomState:
     def n_sites(self):
         return self.amplitudes.shape[-1]
 
+    @property
+    def regime_warning(self):
+        """Why the ensemble is outside the regime the model describes, or None."""
+        occupancy = self.bound_occupancy
+        if occupancy is not None and occupancy < 0.9:
+            return (
+                f"bound-branch occupancy {occupancy:.3f} < 0.9: temperature too "
+                "high for a pure diatom ensemble"
+            )
+        return None
+
     def sum_momentum_distribution(self):
         """Distribution of the folded sum momentum p1 + p2.
 
@@ -191,21 +199,6 @@ def _bloch_amplitudes(thetas, g):
     j = np.arange(n)
     rel = (j[None, :] - j[:, None]) % n
     return np.exp(1j * thetas[:, None] * j)[:, :, None] * g[:, rel] / math.sqrt(n)
-
-
-def ground_state(band: DiatomBand) -> TwoAtomState:
-    """Lowest eigenstate (center-of-mass phase 0) of the two-atom model, the
-    zero-temperature ensemble, once the bound pair is checked to fit the box."""
-    g = band.vectors[int(np.argmin(np.abs(band.thetas)))]
-    n = len(g)
-    d = np.arange(n)
-    d_wrapped = np.minimum(d, n - d)
-    width = math.sqrt(float(np.sum(np.abs(g) ** 2 * d_wrapped.astype(float) ** 2)))
-    if width > n / 4.0:
-        raise SizeError(
-            f"bound-state width {width:.1f} sites exceeds N/4; increase N"
-        )
-    return thermal_diatom_state(band, 0.0)
 
 
 @dataclass(frozen=True)
@@ -300,9 +293,16 @@ def effective_mass_ratio_two_atom(v_hop, v_dd):
 
 def _envelope(n, sigma_e, j0, coord):
     """Gaussian amplitude envelope exp(-u^2 / (2 sigma_E^2)) with minimal-image
-    offset u = coord - j0 (coord in units of a)."""
-    if sigma_e != 0 and sigma_e**2 == 0:  # sigma_E^2 underflows
+    offset u = coord - j0 (coord in units of a; j0 = None is N // 2).
+    ``sigma_e = inf`` gives 1 everywhere."""
+    if not sigma_e > 0:  # NaN fails too
+        raise DomainError(f"sigma_E = {sigma_e:g} a: envelope width must be positive")
+    if not math.isinf(sigma_e) and 3.0 * sigma_e >= n / 2.0:
+        raise SizeError("envelope clipped by the periodic boundary (3 sigma_E >= N a / 2)")
+    if sigma_e**2 == 0:  # sigma_E^2 underflows
         raise DomainError(f"sigma_E = {sigma_e:g} a is too narrow for float arithmetic")
+    if j0 is None:
+        j0 = n // 2
     u = (coord - j0 + n / 2.0) % n - n / 2.0
     with np.errstate(over="ignore"):  # exp(-inf) = 0 far from a narrow envelope
         return np.exp(-(u**2) / (2.0 * sigma_e**2))
@@ -314,12 +314,6 @@ def envelope_state(n_sites: int, sigma_e: float, j0: int | None = None) -> TwoAt
     Amplitudes c_jj ~ exp(-(j - j0)^2 / (2 sigma_E^2)), sigma_E in units of a.
     ``sigma_e = inf`` gives the uniform ideal lattice-EPR superposition.
     """
-    if not sigma_e > 0:  # NaN fails too
-        raise DomainError(f"sigma_E = {sigma_e:g} a: envelope width must be positive")
-    if j0 is None:
-        j0 = n_sites // 2
-    if not math.isinf(sigma_e) and 3.0 * sigma_e >= n_sites / 2.0:
-        raise SizeError("envelope clipped by the periodic boundary (3 sigma_E >= N a / 2)")
     amp = _envelope(n_sites, sigma_e, j0, np.arange(n_sites, dtype=float))  # all 1 at inf
     amp /= math.sqrt(float(np.sum(amp**2)))
     c = np.diag(amp).astype(complex)
@@ -337,20 +331,23 @@ def thermal_diatom_state(
     ``temperature`` is k_B T in E_rec.  With ``sigma_e`` set, every member is
     modulated by the center-of-mass Gaussian envelope (amplitude width
     sigma_E in a), which adds the hbar/(sqrt 2 sigma_E) momentum floor of the
-    preparation protocol.  T = 0 returns the single K = 0 member.
+    preparation protocol.  T = 0 returns the single K = 0 member, the ground
+    state.  At every temperature the K = 0 bound pair, the widest because
+    its hopping 2 v_hop cos(theta/2) is largest, must fit the box.
     """
     if temperature < 0:
         raise DomainError("temperature must be non-negative")
-    if sigma_e is not None and not sigma_e > 0:  # NaN fails too
-        raise DomainError(f"sigma_E = {sigma_e:g} a: envelope width must be positive")
     thetas, e0, vectors = band.thetas, band.energies, band.vectors
     n = len(thetas)
-    if j0 is None:
-        j0 = n // 2
-    if sigma_e is not None and 3.0 * sigma_e >= n / 2.0:
-        raise SizeError("envelope clipped by the periodic boundary")
+    j = np.arange(n, dtype=float)
+    if sigma_e is not None:  # checked before any member is built
+        envelope = _envelope(n, sigma_e, j0, (j[:, None] + j[None, :]) / 2.0)
+    i0 = int(np.argmin(np.abs(thetas)))
+    d_wrapped = np.minimum(j, n - j)
+    width = math.sqrt(float(np.sum(np.abs(vectors[i0]) ** 2 * d_wrapped**2)))
+    if width > n / 4.0:
+        raise SizeError(f"bound-state width {width:.1f} sites exceeds N/4; increase N")
     if temperature == 0.0:
-        i0 = int(np.argmin(np.abs(thetas)))
         thetas, vectors = thetas[i0 : i0 + 1], vectors[i0 : i0 + 1]
         conjugate_of = np.zeros(1, dtype=int)
         weights = np.ones(1)
@@ -367,23 +364,15 @@ def thermal_diatom_state(
     own = conjugate_of == np.arange(len(conjugate_of))
     amplitudes = _bloch_amplitudes(thetas[own], vectors[own])
     if sigma_e is not None:
-        j = np.arange(n, dtype=float)
-        amplitudes *= _envelope(n, sigma_e, j0, (j[:, None] + j[None, :]) / 2.0)
+        amplitudes *= envelope
         amplitudes /= np.sqrt(np.sum(np.abs(amplitudes) ** 2, axis=(1, 2)))[:, None, None]
     # each theta > 0 member is its -theta member conjugated: the band copies
     # the energies and conjugates the bound vector, and the envelope is real
     amplitudes = amplitudes[np.searchsorted(np.flatnonzero(own), conjugate_of)]
     amplitudes.imag[~own] *= -1.0
-    warning = None
-    if occupancy < 0.9:
-        warning = (
-            f"bound-branch occupancy {occupancy:.3f} < 0.9: temperature too "
-            "high for a pure diatom ensemble"
-        )
     return TwoAtomState(
         weights=weights,
         amplitudes=amplitudes,
         bound_occupancy=occupancy,
-        regime_warning=warning,
         conjugate_of=conjugate_of,
     )

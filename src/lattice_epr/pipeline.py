@@ -246,13 +246,11 @@ class Model:
     def state(self) -> diatom.TwoAtomState:
         sc = self.scenario
         band = self.band  # no pair state without a bound branch, in any mode
-        if sc.state_mode == "ground":
-            return diatom.ground_state(band)
+        if sc.state_mode == "ground":  # the T = 0 Bloch pair; T and sigma_E are not read
+            return diatom.thermal_diatom_state(band, 0.0)
         if sc.state_mode == "envelope":
             return diatom.envelope_state(sc.n_sites, sc.sigma_e, sc.j0)
-        if sc.state_mode == "thermal":
-            return diatom.thermal_diatom_state(band, sc.temperature, sigma_e=sc.sigma_e, j0=sc.j0)
-        raise ScenarioError(f"unknown state mode {sc.state_mode!r}")
+        return diatom.thermal_diatom_state(band, sc.temperature, sigma_e=sc.sigma_e, j0=sc.j0)
 
     def quantities(self, table) -> dict:
         """The scalars of ``table`` ("bands", "diatom", "report" or "sweep")

@@ -183,7 +183,6 @@ class Scenario:
     units: UnitSystem
     lambda_lattice: float                 # m
     u0: float                             # E_rec
-    lattice_laser: LaserConfig | None
     n_sites: int
     cutoff: int
     lambda_coupling: float                # m
@@ -326,7 +325,7 @@ def _parse(text):
     fields["lambda_lattice"] = units.lambda_lattice
     fields["lambda_coupling"] = fields["lambda_coupling"] or species.lambda_coupling
 
-    laser = fields["lattice_laser"] = _laser(fields, "lattice", "U0", units.lambda_lattice)
+    laser = _laser(fields, "lattice", "U0", units.lambda_lattice)
     if laser is not None:
         u0 = units.energy_from_si(lattice_depth_from_laser(laser, species))
         fields["u0"] = _check("U0 of the laser block", u0, _KEYS["lattice"]["U0"][3], f"{u0} Erec")

@@ -53,4 +53,4 @@ def li_band_32(li_diatom_32):
 
 @pytest.fixture(scope="session")
 def li_ground_32(li_band_32):
-    return diatom.ground_state(li_band_32)
+    return diatom.thermal_diatom_state(li_band_32, 0.0)

@@ -21,7 +21,7 @@ from conftest import nearest_only_profile
 @pytest.fixture(scope="module")
 def small_ground(li_hopping):
     h = diatom.build_hamiltonian(16, li_hopping.v_hop, nearest_only_profile(-2.16))
-    return diatom.ground_state(diatom.diatom_band_exact(h))
+    return diatom.thermal_diatom_state(diatom.diatom_band_exact(h), 0.0)
 
 
 def test_position_density_normalizes(small_ground, li_wannier):

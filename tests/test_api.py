@@ -43,6 +43,27 @@ def _names_read():
     return read
 
 
+def _unused_imports(path):
+    """The names that ``path`` imports but neither reads nor lists in its
+    ``__all__``."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    exported = set()
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return imported - read - exported
+
+
 def _public():
     for name in MODULES:
         module = importlib.import_module(name)
@@ -62,3 +83,10 @@ def test_every_public_name_is_read_by_the_package():
         if attr not in read
     }
     assert unread == set(TEST_ONLY)
+
+
+def test_every_import_is_read_or_exported():
+    unused = {
+        f"{path.stem}.{name}" for path in SRC.glob("*.py") for name in _unused_imports(path)
+    }
+    assert unused == set()

@@ -636,6 +636,24 @@ def test_distributions_prints_the_regime_warning(temperature, warned, tmp_path, 
         assert err == ""
 
 
+def test_ground_mode_writes_the_tables_of_thermal_at_zero_temperature(tmp_path):
+    """The ground state is the T = 0 member of the thermal ensemble, so the
+    two modes write the same rows; only the header lines, which carry the
+    scenario's hash, differ."""
+    bodies = []
+    for name, mode in (("ground", "ground"), ("thermal", "thermal\nT = 0 K")):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(TOY.replace("mode = ground", f"mode = {mode}"))
+        out = tmp_path / name
+        argv = ["distributions", "--scenario", str(path), "--out", str(out), "--jobs", "1"]
+        assert main(argv) == 0
+        bodies.append({
+            table: [ln for ln in (out / table).read_bytes().splitlines() if not ln.startswith(b"#")]
+            for table in DISTRIBUTION_TABLES
+        })
+    assert bodies[0] == bodies[1]
+
+
 DISPLACEMENT_WARNING = (
     "warning: tube displacement l > a/4: the nearest-site minimum is no longer "
     "sharply dominant\n"

@@ -143,8 +143,24 @@ def test_thermal_momentum_spread_grows_with_temperature(li_hopping, li_profile):
 
 
 def test_thermal_envelope_guard(li_band_32):
-    with pytest.raises(SizeError):
+    with pytest.raises(SizeError, match="3 sigma_E >= N a / 2"):
         diatom.thermal_diatom_state(li_band_32, 0.001, sigma_e=8.0)
+    # as in envelope_state, sigma_E = inf is not clipped: the envelope is 1
+    bare = diatom.thermal_diatom_state(li_band_32, 0.001)
+    wide = diatom.thermal_diatom_state(li_band_32, 0.001, sigma_e=math.inf)
+    assert np.array_equal(wide.weights, bare.weights)
+    assert np.allclose(wide.amplitudes, bare.amplitudes, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.01])
+def test_thermal_state_rejects_a_bound_pair_wider_than_the_box(li_band_32, temperature):
+    # the K = 0 bound pair spread evenly over 32 sites is 9.2 sites wide, and
+    # every ensemble holds it, not only the ground state
+    vectors = li_band_32.vectors.copy()
+    vectors[np.argmin(np.abs(li_band_32.thetas))] = 1.0 / math.sqrt(32)
+    band = dataclasses.replace(li_band_32, vectors=vectors)
+    with pytest.raises(SizeError, match="bound-state width 9.2 sites exceeds N/4"):
+        diatom.thermal_diatom_state(band, temperature)
 
 
 def test_thermal_state_rejects_a_negative_temperature(li_band_32):
@@ -248,8 +264,8 @@ def test_state_rejects_a_malformed_pairing():
 
 @pytest.mark.parametrize("sigma_e", [0.0, -6.0, math.nan])
 def test_thermal_state_rejects_a_non_positive_envelope_width(li_band_32, sigma_e):
-    # raised before any numpy call: filterwarnings = error fails a raw
-    # warning.  envelope_state shares the guard and its message
+    # raised before the envelope is evaluated: filterwarnings = error fails a
+    # raw warning.  envelope_state shares the guard and its message
     with pytest.raises(DomainError, match="sigma_E"):
         diatom.thermal_diatom_state(li_band_32, 0.001, sigma_e=sigma_e)
     with pytest.raises(DomainError, match="sigma_E"):

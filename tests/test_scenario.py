@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lattice_epr import scenario
 from lattice_epr.cli import main
+from lattice_epr.core import LITHIUM, LaserConfig, lattice_depth_from_laser
 from lattice_epr.errors import ScenarioError
 from test_cli import TOY, TOY16
 
@@ -96,10 +97,8 @@ def test_lattice_laser_block():
         "U0 = 7.42 Erec", "intensity = 0.35 W/cm^2\ndetuning = 50 gamma_L"
     )
     sc = make(text)
-    assert sc.lattice_laser is not None
-    assert sc.lattice_laser.intensity == pytest.approx(3500.0)
-    assert sc.lattice_laser.detuning == pytest.approx(50 * 1.2e6)
-    assert sc.u0 > 0
+    laser = LaserConfig(intensity=3500.0, detuning=50 * 1.2e6, wavelength=323e-9)
+    assert sc.u0 == sc.units.energy_from_si(lattice_depth_from_laser(laser, LITHIUM))
 
 
 def test_coupling_block_validation():
