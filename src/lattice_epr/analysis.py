@@ -39,6 +39,7 @@ __all__ = [
     "joint_position_density",
     "joint_momentum_density",
     "conditional_density",
+    "conditional_position_density",
     "marginal",
     "sum_momentum_marginal",
     "peak_metrics",
@@ -110,8 +111,15 @@ _POSITION_BLOCK_ROWS = 128
 _POSITION_TILE_COLS = 128
 
 
-def _position_block(w, weights, amplitudes, source, out, lo, hi):
-    """Weighted sum over the ensemble of |w[lo:hi] c w^T|^2 into out[lo:hi].
+def _tile_edges(g):
+    """Column tile edges of a grid of g >= 2 columns."""
+    return np.append(np.arange(0, g - 1, _POSITION_TILE_COLS), g)
+
+
+def _position_block(w, weights, amplitudes, source, out, lo, hi, tiles=slice(None)):
+    """Weighted sum over the ensemble of |w[lo:hi] c w^T|^2 into out[lo:hi],
+    in the column tiles of _tile_edges that ``tiles`` selects (a mask or
+    slice); the others are left as they are.
 
     Each member m adds the term of member source[m] (a state's
     conjugate_of), and only the members with source[m] == m are computed.
@@ -133,7 +141,9 @@ def _position_block(w, weights, amplitudes, source, out, lo, hi):
     columns of left^T are padded with zeros to a multiple of 8: without the
     padding the last (hi - lo) mod 8 rows can differ from the complex
     product in their last bits (seen with OpenBLAS, whose edge kernel is
-    the likely cause); with it the two agree bit for bit.
+    the likely cause); with it the two agree bit for bit.  The first
+    product is padded the same way, with zero rows: a one-row product would
+    take BLAS's vector-matrix path, which rounds differently.
 
     Tiles are the outer loop.  In each tile every computed member's squared
     modulus times its weight is formed once, the terms are summed into a
@@ -152,21 +162,19 @@ def _position_block(w, weights, amplitudes, source, out, lo, hi):
     g, n = w.shape
     height = hi - lo
     width = -(-height // 8) * 8
-    rows = w[lo:hi]
-    sites = np.flatnonzero(rows.any(axis=0))
-    rows = rows[:, sites]
-    edges = list(range(0, g, _POSITION_TILE_COLS)) + [g]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
+    sites = np.flatnonzero(w[lo:hi].any(axis=0))
+    rows = np.zeros((width, len(sites)))
+    rows[:height] = w[lo:hi, sites]
+    edges = _tile_edges(g)
     computed = np.flatnonzero(source == np.arange(len(source)))
     slot = np.searchsorted(computed, source)  # member m adds terms[slot[m]]
-    left_t = np.zeros((len(computed), n, width), dtype=complex)
+    left_t = np.empty((len(computed), n, width), dtype=complex)
     for left, m in zip(left_t, computed):
-        left[:, :height] = (rows @ amplitudes[m][sites]).T
+        left[...] = (rows @ amplitudes[m][sites]).T
     nonzero = left_t.any(axis=2)
-    tile_max = max(t1 - t0 for t0, t1 in zip(edges[:-1], edges[1:]))
+    tile_max = np.diff(edges).max()
     terms = np.empty((len(computed), tile_max, width))
-    for t0, t1 in zip(edges[:-1], edges[1:]):
+    for t0, t1 in zip(edges[:-1][tiles], edges[1:][tiles]):
         tile_sites = w[t0:t1].any(axis=0)
         present = np.zeros(len(computed), dtype=bool)
         for k, m in enumerate(computed):
@@ -190,6 +198,35 @@ def _position_block(w, weights, amplitudes, source, out, lo, hi):
         out[lo:hi, t0:t1] = tile[:, :height].T
 
 
+def _position_axes(state: TwoAtomState, orbital, samples_per_site):
+    """The grid axis x, the orbital matrix w[i, j] = w(x_i - j) on the
+    periodic box and the row-block bounds of the position grid.  Raises
+    GridError when the grid step exceeds a quarter of the orbital width."""
+    n = state.n_sites
+    step = 1.0 / samples_per_site
+    sigma = orbital.sigma
+    if step > sigma / 4.0:
+        raise GridError(
+            f"grid step {step:.4f} a coarser than orbital sigma/4 = {sigma / 4.0:.4f} a"
+        )
+    x = np.arange(n * samples_per_site) * step
+    sites = np.arange(n, dtype=float)
+    dx = (x[:, None] - sites[None, :] + n / 2.0) % n - n / 2.0
+    bounds = np.linspace(0, len(x), -(-len(x) // _POSITION_BLOCK_ROWS) + 1).astype(int)
+    return x, orbital.at(dx), bounds
+
+
+def _fill_position_grid(state: TwoAtomState, w, bounds, tiles, out, jobs):
+    """Compute the row blocks of the unnormalised grid into ``out``, each
+    in the column tiles that its entry of ``tiles`` selects, on up to
+    ``jobs`` threads."""
+    block = functools.partial(
+        _position_block, w, state.weights, state.amplitudes, state.conjugate_of, out
+    )
+    with ThreadPoolExecutor(max_workers=min(jobs, len(bounds) - 1)) as pool:
+        list(pool.map(block, bounds[:-1], bounds[1:], tiles))  # re-raises failures
+
+
 def joint_position_density(
     state: TwoAtomState, orbital, samples_per_site: int = 32, jobs: int = 1
 ) -> DistributionGrid:
@@ -205,27 +242,115 @@ def joint_position_density(
     Raises GridError when the grid step exceeds a quarter of the orbital
     width.
     """
-    n = state.n_sites
+    x, w, bounds = _position_axes(state, orbital, samples_per_site)
     step = 1.0 / samples_per_site
-    sigma = orbital.sigma
-    if step > sigma / 4.0:
-        raise GridError(
-            f"grid step {step:.4f} a coarser than orbital sigma/4 = {sigma / 4.0:.4f} a"
-        )
-    x = np.arange(n * samples_per_site) * step
-    sites = np.arange(n, dtype=float)
-    dx = (x[:, None] - sites[None, :] + n / 2.0) % n - n / 2.0
-    w = orbital.at(dx)                            # (G, N)
-    g = len(x)
-    bounds = np.linspace(0, g, -(-g // _POSITION_BLOCK_ROWS) + 1).astype(int)
-    dens = np.empty((g, g))
-    block = functools.partial(
-        _position_block, w, state.weights, state.amplitudes, state.conjugate_of, dens
-    )
-    with ThreadPoolExecutor(max_workers=min(jobs, len(bounds) - 1)) as pool:
-        list(pool.map(block, bounds[:-1], bounds[1:]))  # re-raises failures
+    dens = np.zeros((len(x), len(x)))
+    _fill_position_grid(state, w, bounds, [slice(None)] * (len(bounds) - 1), dens, jobs)
     dens /= dens.sum() * step * step
     return DistributionGrid(axis1=x, axis2=x.copy(), density=dens)
+
+
+# conditional_position_density computes the tiles whose bound reaches this
+# fraction of the largest; a floor that changes the grid's sum costs only
+# the time of the band, which is then completed.
+_BAND_FLOOR = 1e-20
+
+
+def _position_bound(state: TwoAtomState, w, edges):
+    """b[i, t] >= every value of row i and column tile t of the unnormalised
+    grid: sum_m w_m (|w_i| |c_m| a_t)^2, with a_t the largest |w| of each
+    site over the tile's columns, and room for rounding."""
+    a = np.abs(w)
+    tile_max = np.maximum.reduceat(a, edges[:-1]).T
+    own = np.flatnonzero(state.conjugate_of == np.arange(len(state.weights)))
+    weights = np.bincount(state.conjugate_of, state.weights, len(state.weights))
+    bound = np.zeros((len(w), len(edges) - 1))
+    for m in own:
+        bound += weights[m] * (a @ (np.abs(state.amplitudes[m]) @ tile_max)) ** 2
+    return bound * (1.0 + 1e-12) + 1e-300
+
+
+def conditional_position_density(
+    state: TwoAtomState, orbital, samples_per_site: int, x1: float, jobs: int = 1
+) -> Slice1D:
+    """conditional_density(joint_position_density(state, orbital,
+    samples_per_site, jobs), x1), bit for bit, from a band of the grid.
+
+    The slice reads the grid's row r nearest x1 and the grid's sum.  Row r
+    is computed in full, as a one-row block, and of the other tiles those
+    whose _position_bound reaches _BAND_FLOOR of the largest.  The rest are
+    computed too unless _pairwise_sum shows that they cannot change the sum.
+    """
+    x, w, bounds = _position_axes(state, orbital, samples_per_site)
+    step, edges = 1.0 / samples_per_site, _tile_edges(len(x))
+    r = int(np.argmin(np.abs(x - x1)))
+    bound = _position_bound(state, w, edges)
+    block_bound = np.maximum.reduceat(bound, bounds[:-1])
+    keep = block_bound >= _BAND_FLOOR * block_bound.max()
+    dens = np.zeros((len(x), len(x)))
+    _fill_position_grid(state, w, bounds, keep, dens, jobs)
+    _position_block(w, state.weights, state.amplitudes, state.conjugate_of, dens, r, r + 1)
+    slack = np.where(np.repeat(keep, np.diff(bounds), axis=0), 0.0, bound)
+    slack[r] = 0.0
+    total, exact = _pairwise_sum(dens, slack, edges)
+    if not exact or total != dens.sum():
+        _fill_position_grid(state, w, bounds, ~keep, dens, jobs)
+        total = dens.sum()
+    dens[r] /= total * step * step  # as joint_position_density; only row r is read
+    return conditional_density(DistributionGrid(axis1=x, axis2=x.copy(), density=dens), x1)
+
+
+# numpy's pairwise sum (ndarray.sum of a contiguous float64 array) splits a
+# run of n > 128 values after n // 2 of them, rounded down to a multiple of
+# 8, and adds the sums of the halves.  A leaf, a run of at most 128 values,
+# it sums as the row of a 2-d sum(axis=1, where=...) that holds only it.
+_PAIRWISE_LEAF = 128
+_LEAVES_PER_CHUNK = 1024
+
+
+def _merge(a, da, b, db):
+    """fl(a + b) and its slack: 0 where fl(a' + b') = fl(a + b) for every a'
+    within da of a and b' within db of b, which TwoSum's exact error of
+    a + b shows, else a bound on |fl(a' + b') - fl(a + b)|."""
+    s = a + b
+    z = s - a
+    d = (np.abs((a - (s - z)) + (b - z)) + da + db) * (1.0 + 2.0**-50)
+    same = (da + db == 0) | (d < (s - np.nextafter(s, 0.0)) / 2)
+    return s, np.where(same, 0.0, (d + (s + d) * 2.0**-53) * (1.0 + 2.0**-50))
+
+
+def _pairwise_sum(values, slack, edges):
+    """ndarray.sum of a non-negative C-contiguous (G, C) float64 array,
+    mirrored, and whether it is the same for every array up to slack[i, t]
+    above ``values`` in row i and column tile t of ``edges``.
+
+    A leaf with slack e and sum s gets the slack (e + 2^-44 (s + e))
+    (1 + 2^-44), which bounds how far e moves a sum of 128 non-negative
+    values; the nodes above are _merge'd, a level of the tree at a time.
+    """
+    flat, c, pos = values.ravel(), values.shape[1], np.arange(_PAIRWISE_LEAF)
+    col = np.arange(c + _PAIRWISE_LEAF)
+    # the slack.ravel() index of a leaf's values from its first row's entry
+    key = col // c * slack.shape[1] + np.searchsorted(edges, col % c, "right") - 1
+    levels = [(np.array([0]), np.array([flat.size]))]
+    while (levels[-1][1] > _PAIRWISE_LEAF).any():
+        start, size = (a[levels[-1][1] > _PAIRWISE_LEAF] for a in levels[-1])
+        half = size // 2 - size // 2 % 8
+        levels.append((np.stack([start, start + half], 1).ravel(),
+                       np.stack([half, size - half], 1).ravel()))
+    for start, size in reversed(levels):
+        sums, slacks = np.empty(len(start)), np.empty(len(start))
+        split, leaf = size > _PAIRWISE_LEAF, np.flatnonzero(size <= _PAIRWISE_LEAF)
+        if split.any():
+            sums[split], slacks[split] = _merge(s[0::2], ds[0::2], s[1::2], ds[1::2])
+        for part in np.split(leaf, range(_LEAVES_PER_CHUNK, len(leaf), _LEAVES_PER_CHUNK)):
+            first, inside = start[part, None], pos < size[part, None]
+            sums[part] = np.take(flat, first + pos, mode="clip").sum(axis=1, where=inside)
+            e = np.take(slack, first // c * slack.shape[1] + key[first % c + pos], mode="clip")
+            e = e.sum(axis=1, where=inside)
+            slacks[part] = np.where(e > 0, (e + (sums[part] + e) * 2.0**-44) * (1.0 + 2.0**-44), 0)
+        s, ds = sums, slacks
+    return s[0], ds[0] == 0
 
 
 def joint_momentum_density(state: TwoAtomState, orbital, zones: int = 2) -> DistributionGrid:

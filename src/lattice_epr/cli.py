@@ -14,6 +14,7 @@ import argparse
 import functools
 import os
 import sys
+import traceback
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -296,11 +297,11 @@ def _cmd_distributions(sc: Scenario, writer: _Writer, args):
     writer.table("position_joint." + args.format, ["x1", "x2", "density"], pos)
     j0 = sc.j0 if sc.j0 is not None else sc.n_sites // 2
     slice_w = analysis.conditional_density(pos, float(j0))
-    del pos  # never hold both full position grids
-    pos_g = analysis.joint_position_density(
-        state, lattice.GaussianOrbital(model.width.sigma), sc.samples_per_site, jobs=writer.jobs
+    del pos  # never hold two position grids
+    gaussian = lattice.GaussianOrbital(model.width.sigma)
+    slice_g = analysis.conditional_position_density(
+        state, gaussian, sc.samples_per_site, float(j0), writer.jobs
     )
-    slice_g = analysis.conditional_density(pos_g, float(j0))
     writer.table(
         "position_slice." + args.format,
         ["x2", "density_wannier", "density_gaussian"],
@@ -359,13 +360,18 @@ def _cmd_optimize(sc: Scenario, writer: _Writer, args):
     return 0
 
 
-def _sweep_point(base, path, value):
-    """Sweep quantities of one point, ``base.with_param(path, value)``; an
-    error names the point."""
+def _sweep_point(base, path, value, text):
+    """Sweep quantities of one point, ``base.with_param(path, value)``.  An
+    error names the point by ``text``, its value as the scenario wrote it,
+    unless it was raised building a stage of ``base``, which the point
+    shares because no swept value can reach it: that is the scenario's
+    own error, and it reads as any other command prints it."""
     try:
         return base.with_param(path, value).quantities("sweep")
     except LatticeEprError as exc:
-        raise type(exc)(f"sweep point {path} = {_fmt(value)}: {exc}") from exc
+        if any(f.f_locals.get("self") is base for f, _ in traceback.walk_tb(exc.__traceback__)):
+            raise
+        raise type(exc)(f"sweep point {path} = {text}: {exc}") from exc
 
 
 def _cmd_sweep(sc: Scenario, writer: _Writer, args):
@@ -377,7 +383,8 @@ def _cmd_sweep(sc: Scenario, writer: _Writer, args):
     # one point per task, so the threads balance their load
     base = pipeline.Model(sc)
     with ThreadPoolExecutor(max_workers=min(writer.jobs, len(values))) as pool:
-        results = list(pool.map(functools.partial(_sweep_point, base, path), values))
+        point = functools.partial(_sweep_point, base, path)
+        results = list(pool.map(point, values, sc.sweep_text))
     keys = sorted(set().union(*(r.keys() for r in results)))
     rows = [
         [value] + [r.get(k) for k in keys] for value, r in zip(values, results)

@@ -202,6 +202,7 @@ class Scenario:
     optimizer_hi: float                   # a
     optimizer_temperatures: list = field(default_factory=list)
     sweep: tuple | None = None            # (parameter path, [internal values])
+    sweep_text: tuple = ()                # the sweep values as written
     sha256: str = ""                      # of the scenario document
 
     def with_param(self, path, value):
@@ -345,17 +346,18 @@ def _parse(text):
     if fields["optimizer_temperatures"] is None:
         fields["optimizer_temperatures"] = [t for t in [fields["temperature"]] if t > 0]
 
-    fields["sweep"] = None
+    fields["sweep"], fields["sweep_text"] = None, ()
     if cp.has_section("sweep"):
-        path, values = fields["sweep_path"], fields["sweep_values"]
-        if path is None or values is None:
+        path, text = fields["sweep_path"], fields["sweep_values"]
+        if path is None or text is None:
             raise ScenarioError("sweep section needs parameter and values")
         section, key = path.split(".")
         _, kind, _, rule = _KEYS[section][key]
-        values = _resolve(path, values, [kind], rule, units)
+        values = _resolve(path, text, [kind], rule, units)
         if not values:
             raise ScenarioError("sweep values list is empty")
         fields["sweep"] = (path, values)
+        fields["sweep_text"] = tuple(part.strip() for part in text.split(",") if part.strip())
     return Scenario(**{f.name: fields[f.name] for f in dataclasses.fields(Scenario)})
 
 

@@ -1,5 +1,6 @@
 """Distributions, peak metrics, closed-form widths, and the optimizer."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_epr import analysis, diatom, lattice
+from lattice_epr import analysis, diatom, lattice, pipeline
 from lattice_epr.errors import (
     ConditioningError,
     DomainError,
@@ -15,6 +16,7 @@ from lattice_epr.errors import (
     NoPeakError,
     SingularityError,
 )
+from lattice_epr.scenario import load_scenario
 from conftest import nearest_only_profile
 
 
@@ -234,6 +236,169 @@ def test_position_block_peak_allocation(li_wannier, orbital):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _state_of_mode(li_hopping, n, mode):
+    """The ground, envelope or thermal state of an n-site chain."""
+    sigma_e = 6.0 if n == 64 else n / 8.0
+    if mode == "envelope":
+        return diatom.envelope_state(n, sigma_e)
+    band = diatom.diatom_band_exact(
+        diatom.build_hamiltonian(n, li_hopping.v_hop, nearest_only_profile(-2.16))
+    )
+    if mode == "ground":
+        return diatom.thermal_diatom_state(band, 0.0)
+    return diatom.thermal_diatom_state(band, 0.01, sigma_e=sigma_e)
+
+
+@pytest.mark.parametrize("mode", ["ground", "envelope", "thermal"])
+@pytest.mark.parametrize("n", [8, 16, 17, 64])
+def test_conditional_position_density_equals_the_full_grid_slice(li_hopping, n, mode):
+    state = _state_of_mode(li_hopping, n, mode)
+    orb = lattice.GaussianOrbital(0.136)
+    x1 = float(n // 2)
+    ref = analysis.conditional_density(analysis.joint_position_density(state, orb, 32), x1)
+    for jobs in (1, 2):
+        got = analysis.conditional_position_density(state, orb, 32, x1, jobs)
+        assert np.array_equal(got.x, ref.x)
+        assert np.array_equal(got.density, ref.density)
+
+
+@pytest.mark.parametrize("mode", ["envelope", "thermal"])
+@pytest.mark.parametrize("n", [16, 17])
+def test_conditional_position_density_takes_any_orbital_and_the_nearest_row(
+    li_hopping, li_wannier, n, mode
+):
+    # the Wannier orbital has no exact zero, and x1 lies between grid rows
+    state = _state_of_mode(li_hopping, n, mode)
+    x1 = n / 2 + 0.3
+    grid = analysis.joint_position_density(state, li_wannier, 32)
+    ref = analysis.conditional_density(grid, x1)
+    got = analysis.conditional_position_density(state, li_wannier, 32, x1, 2)
+    assert np.array_equal(got.density, ref.density)
+
+
+@pytest.fixture(scope="module")
+def lithium_gaussian_slice():
+    """lithium-example's state, its harmonic-well orbital and the slice of
+    its full Gaussian grid at x1 = j0 = 32."""
+    model = pipeline.Model(load_scenario("lithium-example"))
+    orb = lattice.GaussianOrbital(model.width.sigma)
+    grid = analysis.joint_position_density(model.state, orb, 32, jobs=2)
+    return model.state, orb, analysis.conditional_density(grid, 32.0)
+
+
+def _fills(monkeypatch):
+    """Record the tile masks that _fill_position_grid computes."""
+    masks, fill = [], analysis._fill_position_grid
+
+    def record(state, w, bounds, tiles, out, jobs):
+        masks.append(np.array(tiles))
+        fill(state, w, bounds, tiles, out, jobs)
+
+    monkeypatch.setattr(analysis, "_fill_position_grid", record)
+    return masks
+
+
+def test_conditional_position_density_computes_a_band(lithium_gaussian_slice, monkeypatch):
+    state, orb, ref = lithium_gaussian_slice
+    masks = _fills(monkeypatch)
+    got = analysis.conditional_position_density(state, orb, 32, 32.0, 2)
+    assert np.array_equal(got.density, ref.density)
+    # one fill, of a band: 76 of the 256 tiles at the 1e-20 floor
+    assert len(masks) == 1 and masks[0].shape == (16, 16)
+    assert masks[0].sum() < 128
+
+
+def test_conditional_position_density_refuses_a_band_that_changes_the_sum(
+    lithium_gaussian_slice, monkeypatch
+):
+    # at a floor of 1e-12 the tiles left out change the grid's sum, so the
+    # band is refused and the other tiles are computed too
+    state, orb, ref = lithium_gaussian_slice
+    monkeypatch.setattr(analysis, "_BAND_FLOOR", 1e-12)
+    sums, pairwise_sum = [], analysis._pairwise_sum
+
+    def record(*args):
+        sums.append(pairwise_sum(*args))
+        return sums[-1]
+
+    monkeypatch.setattr(analysis, "_pairwise_sum", record)
+    masks = _fills(monkeypatch)
+    got = analysis.conditional_position_density(state, orb, 32, 32.0, 1)
+    assert np.array_equal(got.density, ref.density)
+    assert len(masks) == 2 and np.array_equal(masks[1], ~masks[0])
+    (band_sum, exact), = sums
+    assert not exact
+    x, w, bounds = analysis._position_axes(state, orb, 32)
+    full = np.zeros((len(x), len(x)))
+    analysis._fill_position_grid(state, w, bounds, np.ones_like(masks[0]), full, 2)
+    assert band_sum != full.sum()
+
+
+@pytest.mark.parametrize("g", [256, 512, 544, 2048])
+def test_pairwise_sum_mirrors_ndarray_sum(g):
+    rng = np.random.default_rng(g)
+    values = 10.0 ** rng.uniform(-300, 0, (g, g))
+    edges = analysis._tile_edges(g)
+    total, exact = analysis._pairwise_sum(values, np.zeros((g, len(edges) - 1)), edges)
+    assert exact
+    assert total == values.sum()
+
+
+@pytest.mark.parametrize("scale", [1e-40, 1e-20, 1e-16, 1e-13])
+@pytest.mark.parametrize("g", [256, 544])
+def test_pairwise_sum_exact_only_where_no_value_within_the_slack_changes_the_sum(g, scale):
+    # values in a diagonal band; the tiles off it are 0 with slack up to
+    # scale, and filled with values up to that slack they must sum to the
+    # mirror's total wherever it claims to be exact
+    rng = np.random.default_rng(int(g / scale) % 2**32)
+    edges = analysis._tile_edges(g)
+    tile = np.repeat(np.arange(len(edges) - 1), np.diff(edges))
+    band = np.abs(tile[:, None] - tile[None, :]) <= 1
+    values = np.where(band, rng.random((g, g)), 0.0)
+    slack = scale * rng.random((g, len(edges) - 1))
+    slack[np.abs(tile[:, None] - np.arange(len(edges) - 1)) <= 1] = 0.0
+    total, exact = analysis._pairwise_sum(values, slack, edges)
+    assert total == values.sum()
+    for _ in range(3):
+        filled = values + rng.random((g, g)) ** 4 * slack[:, tile]
+        if exact:
+            assert filled.sum() == total
+    # leaves that mix values and slack (544 is no multiple of 128) get a
+    # coarser slack, which may refuse what a finer one would accept
+    if g % 128 == 0 and scale <= 1e-20:
+        assert exact
+
+
+def test_merge_is_exact_only_where_every_value_within_the_slack_rounds_alike():
+    rng = np.random.default_rng(3)
+    a, b = 10.0 ** rng.uniform(-5, 5, (2, 20000))
+    da, db = np.abs(a * 10.0 ** rng.uniform(-20, -14, 20000)), np.zeros(20000)
+    s, ds = analysis._merge(a, da, b, db)
+    assert np.array_equal(s, a + b)
+    assert 0 < (ds == 0).sum() < len(s)
+    for t in (-1.0, -0.5, 0.5, 1.0):
+        moved = a + t * da
+        inside = np.abs(moved - a) <= da  # a + t da rounded may overshoot
+        assert inside.mean() > 0.5
+        assert np.all(np.abs((moved + b) - s)[inside] <= ds[inside])
+
+
+@pytest.mark.parametrize("orbital", ["wannier", "gaussian"])
+@pytest.mark.parametrize("n", [16, 17])
+def test_position_block_one_row_equals_that_row_of_the_grid(li_hopping, li_wannier, n, orbital):
+    state = _state_of_mode(li_hopping, n, "thermal")
+    orb = li_wannier if orbital == "wannier" else lattice.GaussianOrbital(0.136)
+    x, w, bounds = analysis._position_axes(state, orb, 32)
+    full = np.zeros((len(x), len(x)))
+    analysis._fill_position_grid(state, w, bounds, itertools.repeat(slice(None)), full, 1)
+    rows = np.zeros_like(full)
+    for r in (0, 1, 127, 128, 200, n * 16, len(x) - 1):
+        analysis._position_block(
+            w, state.weights, state.amplitudes, state.conjugate_of, rows, r, r + 1
+        )
+        assert np.array_equal(rows[r], full[r])
 
 
 def test_position_density_grid_guard(small_ground):

@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from lattice_epr import cli, diatom, dipole, lattice, pipeline
-from lattice_epr.cli import _fmt, _sweep_point, main
+from lattice_epr.cli import _sweep_point, main
 from lattice_epr.errors import DegenerateBandError, LatticeEprError, SingularityError
-from lattice_epr.scenario import LITHIUM_EXAMPLE, SWEEP_PARAMS, load_scenario, parse_scenario
+from lattice_epr.scenario import LITHIUM_EXAMPLE, SWEEP_PARAMS, parse_scenario
 from test_cli import TOY, TOY16
 
 SCENARIOS = {
@@ -143,7 +143,9 @@ DEGENERATE_BAND = (
 CONTINUUM = "bound branch overlaps the continuum (|V_dd| <~ 4 |V_hop|)"
 
 # error message per (input, command), or None where the command succeeds;
-# recorded before the chain became a lazy Model
+# recorded before the chain became a lazy Model.  Every input fails in a
+# stage that a state.T sweep shares with its base model, so the sweep's
+# message is the scenario's own and names no point.
 EXPECTED_ERRORS = {
     **{("u0_zero", c): SINGULAR_WIDTH for c in COMMANDS},
     **{("u0_tiny", c): DEGENERATE_BAND for c in COMMANDS},
@@ -170,9 +172,6 @@ def test_failure_behaviour_is_unchanged(name, command, tmp_path, capsys):
         assert rc == 0 and err == ""
         assert list(out.iterdir())
         return
-    if command == "sweep":
-        sc = load_scenario(str(tmp_path / "scenario.ini"))
-        message = f"sweep point state.T = {_fmt(sc.sweep[1][0])}: {message}"
     assert rc == 1
     assert err == f"error: {message}\n"
     assert not out.exists() or not list(out.iterdir())
@@ -184,11 +183,24 @@ def test_sweep_error_names_its_point(jobs, tmp_path, capsys):
     rc, out = run("sweep", text, tmp_path, "--jobs", jobs)
     assert rc == 1
     assert capsys.readouterr().err == (
-        f"error: sweep point lattice.U0 = 0: {SINGULAR_WIDTH}\n"
+        f"error: sweep point lattice.U0 = 0 Erec: {SINGULAR_WIDTH}\n"
     )
     assert not out.exists() or not list(out.iterdir())
-    with pytest.raises(SingularityError, match=r"^sweep point lattice\.U0 = 0: "):
-        _sweep_point(pipeline.Model(parse_scenario(text)), "lattice.U0", 0.0)
+    with pytest.raises(SingularityError, match=r"^sweep point lattice\.U0 = 0 Erec: "):
+        _sweep_point(pipeline.Model(parse_scenario(text)), "lattice.U0", 0.0, "0 Erec")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_error_names_its_point_as_the_scenario_wrote_it(jobs, tmp_path, capsys):
+    # sigma_E = 1e-300 a passes the scenario's rules, and its point fails in
+    # a closed form that the swept value reaches
+    text = TOY16 + "\n[sweep]\nparameter = state.sigma_E\nvalues = 2 a,  1e-300 a\n"
+    rc, out = run("sweep", text, tmp_path, "--jobs", jobs)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep point state.sigma_E = 1e-300 a: ")
+    assert err.count("\n") == 1
+    assert not out.exists() or not list(out.iterdir())
 
 
 @pytest.mark.parametrize("command", ["diatom", "optimize", "report", "sweep"])
