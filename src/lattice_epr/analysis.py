@@ -278,8 +278,9 @@ def conditional_position_density(
 
     The slice reads the grid's row r nearest x1 and the grid's sum.  Row r
     is computed in full, as a one-row block, and of the other tiles those
-    whose _position_bound reaches _BAND_FLOOR of the largest.  The rest are
-    computed too unless _pairwise_sum shows that they cannot change the sum.
+    whose _position_bound reaches _BAND_FLOOR of the largest.  The band's
+    sum is taken twice, with the tiles left out at 0 and at their bound;
+    the rest of the grid is computed too unless the two sums are equal.
     """
     x, w, bounds = _position_axes(state, orbital, samples_per_site)
     step, edges = 1.0 / samples_per_site, _tile_edges(len(x))
@@ -290,67 +291,21 @@ def conditional_position_density(
     dens = np.zeros((len(x), len(x)))
     _fill_position_grid(state, w, bounds, keep, dens, jobs)
     _position_block(w, state.weights, state.amplitudes, state.conjugate_of, dens, r, r + 1)
-    slack = np.where(np.repeat(keep, np.diff(bounds), axis=0), 0.0, bound)
-    slack[r] = 0.0
-    total, exact = _pairwise_sum(dens, slack, edges)
-    if not exact or total != dens.sum():
-        _fill_position_grid(state, w, bounds, ~keep, dens, jobs)
+    total = dens.sum()
+    # Rounding to nearest is monotone, so each addition is monotone in both
+    # operands, and ndarray.sum adds the same buffer in an order that does
+    # not depend on its values.  So the sum is monotone in every value: if
+    # the left-out values give one sum at 0 and at their bound, every grid
+    # in between has it, and the full grid is one of them.
+    for t, (t0, t1) in enumerate(zip(edges[:-1], edges[1:])):
+        rows = ~np.repeat(keep[:, t], np.diff(bounds))
+        rows[r] = False
+        dens[rows, t0:t1] = bound[rows, t, None]
+    if dens.sum() != total:
+        _fill_position_grid(state, w, bounds, ~keep, dens, jobs)  # over the bounds
         total = dens.sum()
     dens[r] /= total * step * step  # as joint_position_density; only row r is read
     return conditional_density(DistributionGrid(axis1=x, axis2=x.copy(), density=dens), x1)
-
-
-# numpy's pairwise sum (ndarray.sum of a contiguous float64 array) splits a
-# run of n > 128 values after n // 2 of them, rounded down to a multiple of
-# 8, and adds the sums of the halves.  A leaf, a run of at most 128 values,
-# it sums as the row of a 2-d sum(axis=1, where=...) that holds only it.
-_PAIRWISE_LEAF = 128
-_LEAVES_PER_CHUNK = 1024
-
-
-def _merge(a, da, b, db):
-    """fl(a + b) and its slack: 0 where fl(a' + b') = fl(a + b) for every a'
-    within da of a and b' within db of b, which TwoSum's exact error of
-    a + b shows, else a bound on |fl(a' + b') - fl(a + b)|."""
-    s = a + b
-    z = s - a
-    d = (np.abs((a - (s - z)) + (b - z)) + da + db) * (1.0 + 2.0**-50)
-    same = (da + db == 0) | (d < (s - np.nextafter(s, 0.0)) / 2)
-    return s, np.where(same, 0.0, (d + (s + d) * 2.0**-53) * (1.0 + 2.0**-50))
-
-
-def _pairwise_sum(values, slack, edges):
-    """ndarray.sum of a non-negative C-contiguous (G, C) float64 array,
-    mirrored, and whether it is the same for every array up to slack[i, t]
-    above ``values`` in row i and column tile t of ``edges``.
-
-    A leaf with slack e and sum s gets the slack (e + 2^-44 (s + e))
-    (1 + 2^-44), which bounds how far e moves a sum of 128 non-negative
-    values; the nodes above are _merge'd, a level of the tree at a time.
-    """
-    flat, c, pos = values.ravel(), values.shape[1], np.arange(_PAIRWISE_LEAF)
-    col = np.arange(c + _PAIRWISE_LEAF)
-    # the slack.ravel() index of a leaf's values from its first row's entry
-    key = col // c * slack.shape[1] + np.searchsorted(edges, col % c, "right") - 1
-    levels = [(np.array([0]), np.array([flat.size]))]
-    while (levels[-1][1] > _PAIRWISE_LEAF).any():
-        start, size = (a[levels[-1][1] > _PAIRWISE_LEAF] for a in levels[-1])
-        half = size // 2 - size // 2 % 8
-        levels.append((np.stack([start, start + half], 1).ravel(),
-                       np.stack([half, size - half], 1).ravel()))
-    for start, size in reversed(levels):
-        sums, slacks = np.empty(len(start)), np.empty(len(start))
-        split, leaf = size > _PAIRWISE_LEAF, np.flatnonzero(size <= _PAIRWISE_LEAF)
-        if split.any():
-            sums[split], slacks[split] = _merge(s[0::2], ds[0::2], s[1::2], ds[1::2])
-        for part in np.split(leaf, range(_LEAVES_PER_CHUNK, len(leaf), _LEAVES_PER_CHUNK)):
-            first, inside = start[part, None], pos < size[part, None]
-            sums[part] = np.take(flat, first + pos, mode="clip").sum(axis=1, where=inside)
-            e = np.take(slack, first // c * slack.shape[1] + key[first % c + pos], mode="clip")
-            e = e.sum(axis=1, where=inside)
-            slacks[part] = np.where(e > 0, (e + (sums[part] + e) * 2.0**-44) * (1.0 + 2.0**-44), 0)
-        s, ds = sums, slacks
-    return s[0], ds[0] == 0
 
 
 def joint_momentum_density(state: TwoAtomState, orbital, zones: int = 2) -> DistributionGrid:

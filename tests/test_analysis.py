@@ -317,72 +317,47 @@ def test_conditional_position_density_refuses_a_band_that_changes_the_sum(
     # band is refused and the other tiles are computed too
     state, orb, ref = lithium_gaussian_slice
     monkeypatch.setattr(analysis, "_BAND_FLOOR", 1e-12)
-    sums, pairwise_sum = [], analysis._pairwise_sum
-
-    def record(*args):
-        sums.append(pairwise_sum(*args))
-        return sums[-1]
-
-    monkeypatch.setattr(analysis, "_pairwise_sum", record)
     masks = _fills(monkeypatch)
     got = analysis.conditional_position_density(state, orb, 32, 32.0, 1)
     assert np.array_equal(got.density, ref.density)
     assert len(masks) == 2 and np.array_equal(masks[1], ~masks[0])
-    (band_sum, exact), = sums
-    assert not exact
+    # the refusal is needed: the band and row r alone sum to another value
+    x, w, bounds = analysis._position_axes(state, orb, 32)
+    full, band = np.zeros((2, len(x), len(x)))
+    analysis._fill_position_grid(state, w, bounds, np.ones_like(masks[0]), full, 2)
+    analysis._fill_position_grid(state, w, bounds, masks[0], band, 2)
+    r = int(np.argmin(np.abs(x - 32.0)))
+    band[r] = full[r]
+    assert band.sum() != full.sum()
+
+
+@pytest.mark.parametrize("mode", ["ground", "envelope", "thermal"])
+@pytest.mark.parametrize("n", [8, 16, 17, 64])
+def test_conditional_position_density_fills_only_the_band(li_hopping, n, mode, monkeypatch):
+    # the cases of test_conditional_position_density_equals_the_full_grid_slice;
+    # none needs the tiles left out
+    state = _state_of_mode(li_hopping, n, mode)
+    masks = _fills(monkeypatch)
+    analysis.conditional_position_density(state, lattice.GaussianOrbital(0.136), 32, float(n // 2), 2)
+    assert len(masks) == 1
+
+
+@pytest.mark.parametrize("orbital", ["wannier", "gaussian"])
+@pytest.mark.parametrize("mode", ["ground", "envelope", "thermal"])
+@pytest.mark.parametrize("n", [8, 16, 17, 64])
+def test_position_bound_holds_every_value_of_its_row_and_tile(
+    li_hopping, li_wannier, n, mode, orbital
+):
+    # the band's check rests on this; with the Gaussian orbital the largest
+    # value / bound is 1 - 1e-12, so this also guards the bound's rounding room
+    state = _state_of_mode(li_hopping, n, mode)
+    orb = li_wannier if orbital == "wannier" else lattice.GaussianOrbital(0.136)
     x, w, bounds = analysis._position_axes(state, orb, 32)
     full = np.zeros((len(x), len(x)))
-    analysis._fill_position_grid(state, w, bounds, np.ones_like(masks[0]), full, 2)
-    assert band_sum != full.sum()
-
-
-@pytest.mark.parametrize("g", [256, 512, 544, 2048])
-def test_pairwise_sum_mirrors_ndarray_sum(g):
-    rng = np.random.default_rng(g)
-    values = 10.0 ** rng.uniform(-300, 0, (g, g))
-    edges = analysis._tile_edges(g)
-    total, exact = analysis._pairwise_sum(values, np.zeros((g, len(edges) - 1)), edges)
-    assert exact
-    assert total == values.sum()
-
-
-@pytest.mark.parametrize("scale", [1e-40, 1e-20, 1e-16, 1e-13])
-@pytest.mark.parametrize("g", [256, 544])
-def test_pairwise_sum_exact_only_where_no_value_within_the_slack_changes_the_sum(g, scale):
-    # values in a diagonal band; the tiles off it are 0 with slack up to
-    # scale, and filled with values up to that slack they must sum to the
-    # mirror's total wherever it claims to be exact
-    rng = np.random.default_rng(int(g / scale) % 2**32)
-    edges = analysis._tile_edges(g)
-    tile = np.repeat(np.arange(len(edges) - 1), np.diff(edges))
-    band = np.abs(tile[:, None] - tile[None, :]) <= 1
-    values = np.where(band, rng.random((g, g)), 0.0)
-    slack = scale * rng.random((g, len(edges) - 1))
-    slack[np.abs(tile[:, None] - np.arange(len(edges) - 1)) <= 1] = 0.0
-    total, exact = analysis._pairwise_sum(values, slack, edges)
-    assert total == values.sum()
-    for _ in range(3):
-        filled = values + rng.random((g, g)) ** 4 * slack[:, tile]
-        if exact:
-            assert filled.sum() == total
-    # leaves that mix values and slack (544 is no multiple of 128) get a
-    # coarser slack, which may refuse what a finer one would accept
-    if g % 128 == 0 and scale <= 1e-20:
-        assert exact
-
-
-def test_merge_is_exact_only_where_every_value_within_the_slack_rounds_alike():
-    rng = np.random.default_rng(3)
-    a, b = 10.0 ** rng.uniform(-5, 5, (2, 20000))
-    da, db = np.abs(a * 10.0 ** rng.uniform(-20, -14, 20000)), np.zeros(20000)
-    s, ds = analysis._merge(a, da, b, db)
-    assert np.array_equal(s, a + b)
-    assert 0 < (ds == 0).sum() < len(s)
-    for t in (-1.0, -0.5, 0.5, 1.0):
-        moved = a + t * da
-        inside = np.abs(moved - a) <= da  # a + t da rounded may overshoot
-        assert inside.mean() > 0.5
-        assert np.all(np.abs((moved + b) - s)[inside] <= ds[inside])
+    analysis._fill_position_grid(state, w, bounds, itertools.repeat(slice(None)), full, 2)
+    edges = analysis._tile_edges(len(x))
+    bound = analysis._position_bound(state, w, edges)
+    assert np.all(np.maximum.reduceat(full, edges[:-1], axis=1) <= bound)
 
 
 @pytest.mark.parametrize("orbital", ["wannier", "gaussian"])
