@@ -14,7 +14,6 @@ import argparse
 import functools
 import os
 import sys
-import traceback
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -362,15 +361,10 @@ def _cmd_optimize(sc: Scenario, writer: _Writer, args):
 
 def _sweep_point(base, path, value, text):
     """Sweep quantities of one point, ``base.with_param(path, value)``.  An
-    error names the point by ``text``, its value as the scenario wrote it,
-    unless it was raised building a stage of ``base``, which the point
-    shares because no swept value can reach it: that is the scenario's
-    own error, and it reads as any other command prints it."""
+    error names the point by ``text``, its value as the scenario wrote it."""
     try:
         return base.with_param(path, value).quantities("sweep")
     except LatticeEprError as exc:
-        if any(f.f_locals.get("self") is base for f, _ in traceback.walk_tb(exc.__traceback__)):
-            raise
         raise type(exc)(f"sweep point {path} = {text}: {exc}") from exc
 
 
@@ -379,9 +373,11 @@ def _cmd_sweep(sc: Scenario, writer: _Writer, args):
         print("error: scenario has no [sweep] section", file=sys.stderr)
         return 2
     path, values = sc.sweep
-    # the points share one base model, which builds the stages they share;
-    # one point per task, so the threads balance their load
+    # one point made here builds the stages that the points share, so each
+    # is built once and a fault in one is the scenario's own error; one
+    # point per task, so the threads balance their load
     base = pipeline.Model(sc)
+    base.with_param(path, values[0])
     with ThreadPoolExecutor(max_workers=min(writer.jobs, len(values))) as pool:
         point = functools.partial(_sweep_point, base, path)
         results = list(pool.map(point, values, sc.sweep_text))

@@ -97,7 +97,7 @@ _QUANTITIES = {
 
 # per sweep path (scenario.SWEEP_PARAMS), the stages its value cannot reach,
 # which every point of a sweep takes from one base model
-_LATTICE_STAGES = ("spectrum", "hopping", "width", "wannier0")
+_LATTICE_STAGES = ("spectrum", "hopping", "width")
 _SHARED_STAGES = {
     "state.T": _LATTICE_STAGES + ("profile", "band"),
     "state.sigma_E": _LATTICE_STAGES + ("profile", "band"),
@@ -107,19 +107,16 @@ _SHARED_STAGES = {
 
 
 def _stage(build):
-    """A stage built on first read and kept in the model's own dict, or read
-    from the base model when the model shares it.  Only a build that succeeds
-    is kept.  There is no lock (the standard library's cached property holds
-    one for all instances before Python 3.12): threads that read an unbuilt
-    stage of a shared base together each build it, and as stages are
-    deterministic, with the same bytes."""
+    """A stage built on first read and kept in the model's own dict; only a
+    build that succeeds is kept.  There is no lock: the standard library's
+    cached property holds one for all instances before Python 3.12, which
+    would serialise the sweep threads."""
     name = build.__name__
 
     @functools.wraps(build)
     def get(self):
         if name not in self.__dict__:
-            shared = name in self._shared
-            self.__dict__[name] = getattr(self._base, name) if shared else build(self)
+            self.__dict__[name] = build(self)
         return self.__dict__[name]
 
     return property(get)
@@ -153,20 +150,18 @@ class Model:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self._base = None
-        self._shared = frozenset()
 
     def with_param(self, path, value) -> Model:
         """Model of this scenario with one sweep parameter replaced.
 
-        The new model reads each stage that ``path`` cannot reach from this
-        one when it first needs it, so the points of a sweep build those
-        stages once.  A stage that fails is not kept: every point that reads
-        it fails there with the same error as a model of its own would.
+        The new model takes from this one each stage that ``path`` cannot
+        reach, built here the first time, so the points of a sweep build
+        those stages once.  Such a stage fails here, before any point
+        exists: that is the scenario's own error, and no point's.
         """
+        shared = {name: getattr(self, name) for name in _SHARED_STAGES[path]}
         point = Model(self.scenario.with_param(path, value))
-        point._base = self
-        point._shared = frozenset(_SHARED_STAGES[path])
+        point.__dict__.update(shared)
         return point
 
     @_stage

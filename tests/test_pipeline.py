@@ -15,7 +15,7 @@ from lattice_epr import cli, diatom, dipole, lattice, pipeline
 from lattice_epr.cli import _sweep_point, main
 from lattice_epr.errors import DegenerateBandError, LatticeEprError, SingularityError
 from lattice_epr.scenario import LITHIUM_EXAMPLE, SWEEP_PARAMS, parse_scenario
-from test_cli import TOY, TOY16
+from test_cli import NO_COUPLING, NO_DISPLACEMENT, TOY, TOY16
 
 SCENARIOS = {
     "toy": TOY,
@@ -305,9 +305,20 @@ def test_every_sweep_path_has_its_shared_stages():
     assert set(pipeline._SHARED_STAGES) == set(SWEEP_PARAMS)
 
 
-def outcome(model):
+@pytest.mark.parametrize("path", sorted(SWEEP_PARAMS))
+def test_sweep_quantities_read_every_shared_stage(path):
+    # a point builds its shared stages before it runs, so none may be a
+    # stage that the sweep does not read
+    model = pipeline.Model(parse_scenario(sweep_text(TOY, path)))
+    model.quantities("sweep")
+    assert set(pipeline._SHARED_STAGES[path]) <= set(model.__dict__)
+
+
+def outcome(point):
+    """The sweep quantities of the model that ``point()`` makes, or the type
+    and message of the error that making it or them raises."""
     try:
-        return model.quantities("sweep")
+        return point().quantities("sweep")
     except LatticeEprError as exc:
         return type(exc), str(exc)
 
@@ -319,39 +330,44 @@ def test_shared_points_equal_models_of_their_own(text, path):
     sc = parse_scenario(sweep_text(text, path))
     base = pipeline.Model(sc)
     for value in sc.sweep[1]:
-        shared = outcome(base.with_param(path, value))
-        assert shared == outcome(pipeline.Model(sc.with_param(path, value)))
+        shared = outcome(lambda: base.with_param(path, value))
+        assert shared == outcome(lambda: pipeline.Model(sc.with_param(path, value)))
 
 
 @pytest.mark.parametrize("path", sorted(SWEEP_PARAMS))
 def test_sweep_points_on_many_threads_equal_models_of_their_own(path):
     # 12 points on 8 threads (more than a CI runner's cores), switching
-    # often, all reading one base model whose shared stages are not built
-    # yet; ten times, each with a new base
+    # often, all reading one base model whose shared stages one point has
+    # built, as the sweep command does; ten times, each with a new base
     sc = parse_scenario(sweep_text(TOY, path))
     values = sc.sweep[1] * 4
-    own = [outcome(pipeline.Model(sc.with_param(path, v))) for v in values]
+    own = [outcome(lambda v=v: pipeline.Model(sc.with_param(path, v))) for v in values]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             for _ in range(10):
                 base = pipeline.Model(sc)
+                base.with_param(path, values[0])
                 shared = pool.map(
-                    lambda v, base=base: outcome(base.with_param(path, v)), values, timeout=60
+                    lambda v, base=base: outcome(lambda: base.with_param(path, v)),
+                    values, timeout=60,
                 )
                 assert list(shared) == own
     finally:
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize(
-    "path, band_structures, phases",
-    [("state.T", 1, 8), ("state.sigma_E", 1, 8), ("coupling.V_dd", 1, 24),
-     ("lattice.U0", 3, 24)],
-)
+# at --jobs 1, and at --jobs 3 with one thread per point; the --jobs 1
+# cases keep their ids
+@pytest.mark.parametrize("path, band_structures, phases, jobs", [
+    pytest.param(*case, jobs, id="-".join(map(str, case)) + f"-jobs{jobs}" * (jobs > 1))
+    for case in [("state.T", 1, 8), ("state.sigma_E", 1, 8), ("coupling.V_dd", 1, 24),
+                 ("lattice.U0", 3, 24)]
+    for jobs in (1, 3)
+])
 def test_sweep_builds_each_unreachable_stage_once(
-    path, band_structures, phases, tmp_path, monkeypatch
+    path, band_structures, phases, jobs, tmp_path, monkeypatch
 ):
     calls = []
     band_structure = lattice.band_structure
@@ -367,11 +383,28 @@ def test_sweep_builds_each_unreachable_stage_once(
 
     monkeypatch.setattr(lattice, "band_structure", counted_band_structure)
     monkeypatch.setattr(diatom.TwoAtomHamiltonian, "block", counted_block)
-    rc, _ = run("sweep", sweep_text(TOY, path), tmp_path, "--jobs", "1")
+    rc, _ = run("sweep", sweep_text(TOY, path), tmp_path, "--jobs", str(jobs))
     assert rc == 0
     assert calls.count("band_structure") == band_structures
     # 8 center-of-mass phases per band; the 5 with theta <= 0 are solved
     assert calls.count("block") == phases // 8 * 5
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("values", ["0 Erec, 7.42 Erec", "7.42 Erec, 0 Erec"],
+                         ids=["zero_first", "zero_last"])
+def test_sweep_with_a_fault_in_a_shared_stage_prints_it_once_in_any_order(
+    values, jobs, tmp_path, capsys
+):
+    # the 0 Erec point would fail as a singular width, but the dipole
+    # profile that every point shares fails first, before any point runs
+    text = NO_COUPLING.replace("parameter = state.T\nvalues = 5 nK, 10 nK",
+                               f"parameter = lattice.U0\nvalues = {values}")
+    assert "lattice.U0" in text
+    rc, out = run("sweep", text, tmp_path, "--jobs", jobs)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {NO_DISPLACEMENT}\n"
+    assert not out.exists() or not list(out.iterdir())
 
 
 class RecordingPool(cli.ThreadPoolExecutor):
