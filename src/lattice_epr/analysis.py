@@ -151,10 +151,7 @@ def _position_block(w, weights, amplitudes, source, out, lo, hi, tiles=slice(Non
     into out[lo:hi] once.  So each entry is the sum of the same terms in
     the same order as the full complex products would give.
 
-    Both products contract only over the sites, in ascending order, where
-    both factors have a non-zero column.  The terms left out are exact
-    zeros, so the result is that of the full products, and a tile without
-    such a site stays exactly 0.
+    Every product contracts over all N sites.
 
     Runs in worker threads, so it calls nothing but numpy: the package's
     functions then only ever run on the calling thread.
@@ -162,39 +159,26 @@ def _position_block(w, weights, amplitudes, source, out, lo, hi, tiles=slice(Non
     g, n = w.shape
     height = hi - lo
     width = -(-height // 8) * 8
-    sites = np.flatnonzero(w[lo:hi].any(axis=0))
-    rows = np.zeros((width, len(sites)))
-    rows[:height] = w[lo:hi, sites]
+    rows = np.zeros((width, n))
+    rows[:height] = w[lo:hi]
     edges = _tile_edges(g)
     computed = np.flatnonzero(source == np.arange(len(source)))
     slot = np.searchsorted(computed, source)  # member m adds terms[slot[m]]
     left_t = np.empty((len(computed), n, width), dtype=complex)
     for left, m in zip(left_t, computed):
-        left[...] = (rows @ amplitudes[m][sites]).T
-    nonzero = left_t.any(axis=2)
+        left[...] = (rows @ amplitudes[m]).T
     tile_max = np.diff(edges).max()
     terms = np.empty((len(computed), tile_max, width))
     for t0, t1 in zip(edges[:-1][tiles], edges[1:][tiles]):
-        tile_sites = w[t0:t1].any(axis=0)
-        present = np.zeros(len(computed), dtype=bool)
         for k, m in enumerate(computed):
-            both = nonzero[k] & tile_sites
-            if both.all():
-                common = slice(None)
-            elif both.any():
-                common = np.flatnonzero(both)
-            else:
-                continue
-            z = (w[t0:t1, common] @ left_t[k, common].view(np.float64)).view(complex)
+            z = (w[t0:t1] @ left_t[k].view(np.float64)).view(complex)
             term = terms[k, : t1 - t0]
             np.abs(z, out=term)
             np.square(term, out=term)
             term *= weights[m]
-            present[k] = True
         tile = np.zeros((t1 - t0, width))
         for k in slot:
-            if present[k]:
-                tile += terms[k, : t1 - t0]
+            tile += terms[k, : t1 - t0]
         out[lo:hi, t0:t1] = tile[:, :height].T
 
 

@@ -62,7 +62,7 @@ def test_position_density_matches_unblocked_loop(li_hopping, li_wannier, jobs):
     assert np.array_equal(grid.density, ref)
 
 
-def _position_density_unskipped(state, orbital, samples_per_site):
+def _position_density_full_products(state, orbital, samples_per_site):
     """Reference: the row-block loop with full products, block bounds as in
     joint_position_density."""
     n = state.n_sites
@@ -88,11 +88,13 @@ def _position_density_unskipped(state, orbital, samples_per_site):
 
 @pytest.mark.parametrize("jobs", [1, 3])
 @pytest.mark.parametrize("orbital", ["wannier", "gaussian"])
-def test_position_density_skips_only_exact_zeros(li_hopping, li_wannier, orbital, jobs):
+def test_position_density_with_exact_zeros_equals_the_full_products(
+    li_hopping, li_wannier, orbital, jobs
+):
     h = diatom.build_hamiltonian(20, li_hopping.v_hop, nearest_only_profile(-2.16))
     state = diatom.thermal_diatom_state(diatom.diatom_band_exact(h), 0.01, sigma_e=2.0)
     orb = li_wannier if orbital == "wannier" else lattice.GaussianOrbital(0.136)
-    ref, has_zeros = _position_density_unskipped(state, orb, 32)
+    ref, has_zeros = _position_density_full_products(state, orb, 32)
     # the Gaussian orbital underflows to exact zeros beyond ~7 sites
     assert has_zeros == (orbital == "gaussian")
     grid = analysis.joint_position_density(state, orb, 32, jobs=jobs)
@@ -116,7 +118,7 @@ def test_position_density_reuses_conjugate_members_exactly(
     state = _thermal_state(li_hopping, n, sigma_e)
     orb = li_wannier if orbital == "wannier" else lattice.GaussianOrbital(0.136)
     assert (state.conjugate_of != np.arange(n)).any()
-    ref, _ = _position_density_unskipped(state, orb, 32)
+    ref, _ = _position_density_full_products(state, orb, 32)
     grid = analysis.joint_position_density(state, orb, 32, jobs=jobs)
     assert np.array_equal(grid.density, ref)
 
@@ -137,7 +139,7 @@ def test_position_density_does_not_reuse_a_member_one_bit_off(li_hopping, li_wan
     with pytest.raises(DomainError, match="member 9 is not the conjugate of member 7"):
         diatom.TwoAtomState(weights=weights, amplitudes=amplitudes, conjugate_of=state.conjugate_of)
     state = diatom.TwoAtomState(weights=weights, amplitudes=amplitudes)
-    ref, _ = _position_density_unskipped(state, li_wannier, 32)
+    ref, _ = _position_density_full_products(state, li_wannier, 32)
     grid = analysis.joint_position_density(state, li_wannier, 32, jobs=3)
     assert np.array_equal(grid.density, ref)
 
@@ -146,7 +148,7 @@ def _ring_distance(a, b, n):
     return np.abs((a[:, None] - b[None, :] + n / 2) % n - n / 2)
 
 
-def test_position_block_leaves_tiles_without_common_sites_at_zero():
+def test_position_block_tiles_without_common_sites_are_exactly_zero():
     rng = np.random.default_rng(7)
     g, n = 1024, 32
     # orbital rows non-zero on the 5 sites nearest them, banded amplitudes
