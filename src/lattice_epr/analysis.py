@@ -39,7 +39,6 @@ __all__ = [
     "joint_position_density",
     "joint_momentum_density",
     "conditional_density",
-    "conditional_position_density",
     "marginal",
     "sum_momentum_marginal",
     "peak_metrics",
@@ -116,10 +115,18 @@ def _tile_edges(g):
     return np.append(np.arange(0, g - 1, _POSITION_TILE_COLS), g)
 
 
-def _position_block(w, weights, amplitudes, source, out, lo, hi, tiles=slice(None)):
-    """Weighted sum over the ensemble of |w[lo:hi] c w^T|^2 into out[lo:hi],
-    in the column tiles of _tile_edges that ``tiles`` selects (a mask or
-    slice); the others are left as they are.
+def _sites(mask):
+    """The indices where ``mask`` is true: a slice when they are
+    consecutive, so that indexing with it copies nothing, else an index
+    array."""
+    sites = np.flatnonzero(mask)
+    if len(sites) and sites[-1] - sites[0] == len(sites) - 1:
+        return slice(sites[0], sites[-1] + 1)
+    return sites
+
+
+def _position_block(w, weights, amplitudes, source, out, lo, hi):
+    """Weighted sum over the ensemble of |w[lo:hi] c w^T|^2 into out[lo:hi].
 
     Each member m adds the term of member source[m] (a state's
     conjugate_of), and only the members with source[m] == m are computed.
@@ -151,7 +158,15 @@ def _position_block(w, weights, amplitudes, source, out, lo, hi, tiles=slice(Non
     into out[lo:hi] once.  So each entry is the sum of the same terms in
     the same order as the full complex products would give.
 
-    Every product contracts over all N sites.
+    The first product contracts only over the sites where w[lo:hi] has a
+    non-zero value, and each tile's second product only over the sites
+    where w[t0:t1] has one, in ascending order (_sites): only a block or
+    tile whose sites wrap the ring copies its operands.  An orbital
+    without exact zeros, such as the Wannier orbital, contracts over all N
+    sites.  The terms left out are exact zeros.  That dropping them leaves
+    every sum unchanged is observed of OpenBLAS, not promised, and the
+    tests check it against the full products, as they do the conjugate
+    reuse.
 
     Runs in worker threads, so it calls nothing but numpy: the package's
     functions then only ever run on the calling thread.
@@ -159,19 +174,21 @@ def _position_block(w, weights, amplitudes, source, out, lo, hi, tiles=slice(Non
     g, n = w.shape
     height = hi - lo
     width = -(-height // 8) * 8
-    rows = np.zeros((width, n))
-    rows[:height] = w[lo:hi]
+    sites = _sites(w[lo:hi].any(axis=0))
+    rows = np.pad(w[lo:hi, sites], ((0, width - height), (0, 0)))
     edges = _tile_edges(g)
     computed = np.flatnonzero(source == np.arange(len(source)))
     slot = np.searchsorted(computed, source)  # member m adds terms[slot[m]]
     left_t = np.empty((len(computed), n, width), dtype=complex)
     for left, m in zip(left_t, computed):
-        left[...] = (rows @ amplitudes[m]).T
+        left[...] = (rows @ amplitudes[m][sites]).T
     tile_max = np.diff(edges).max()
     terms = np.empty((len(computed), tile_max, width))
-    for t0, t1 in zip(edges[:-1][tiles], edges[1:][tiles]):
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        tile_sites = _sites(w[t0:t1].any(axis=0))
+        tile_w = w[t0:t1, tile_sites]
         for k, m in enumerate(computed):
-            z = (w[t0:t1] @ left_t[k].view(np.float64)).view(complex)
+            z = (tile_w @ left_t[k, tile_sites].view(np.float64)).view(complex)
             term = terms[k, : t1 - t0]
             np.abs(z, out=term)
             np.square(term, out=term)
@@ -200,15 +217,14 @@ def _position_axes(state: TwoAtomState, orbital, samples_per_site):
     return x, orbital.at(dx), bounds
 
 
-def _fill_position_grid(state: TwoAtomState, w, bounds, tiles, out, jobs):
-    """Compute the row blocks of the unnormalised grid into ``out``, each
-    in the column tiles that its entry of ``tiles`` selects, on up to
-    ``jobs`` threads."""
+def _fill_position_grid(state: TwoAtomState, w, bounds, out, jobs):
+    """Compute the row blocks of the unnormalised grid into ``out`` on up
+    to ``jobs`` threads."""
     block = functools.partial(
         _position_block, w, state.weights, state.amplitudes, state.conjugate_of, out
     )
     with ThreadPoolExecutor(max_workers=min(jobs, len(bounds) - 1)) as pool:
-        list(pool.map(block, bounds[:-1], bounds[1:], tiles))  # re-raises failures
+        list(pool.map(block, bounds[:-1], bounds[1:]))  # re-raises failures
 
 
 def joint_position_density(
@@ -229,67 +245,9 @@ def joint_position_density(
     x, w, bounds = _position_axes(state, orbital, samples_per_site)
     step = 1.0 / samples_per_site
     dens = np.zeros((len(x), len(x)))
-    _fill_position_grid(state, w, bounds, [slice(None)] * (len(bounds) - 1), dens, jobs)
+    _fill_position_grid(state, w, bounds, dens, jobs)
     dens /= dens.sum() * step * step
     return DistributionGrid(axis1=x, axis2=x.copy(), density=dens)
-
-
-# conditional_position_density computes the tiles whose bound reaches this
-# fraction of the largest; a floor that changes the grid's sum costs only
-# the time of the band, which is then completed.
-_BAND_FLOOR = 1e-20
-
-
-def _position_bound(state: TwoAtomState, w, edges):
-    """b[i, t] >= every value of row i and column tile t of the unnormalised
-    grid: sum_m w_m (|w_i| |c_m| a_t)^2, with a_t the largest |w| of each
-    site over the tile's columns, and room for rounding."""
-    a = np.abs(w)
-    tile_max = np.maximum.reduceat(a, edges[:-1]).T
-    own = np.flatnonzero(state.conjugate_of == np.arange(len(state.weights)))
-    weights = np.bincount(state.conjugate_of, state.weights, len(state.weights))
-    bound = np.zeros((len(w), len(edges) - 1))
-    for m in own:
-        bound += weights[m] * (a @ (np.abs(state.amplitudes[m]) @ tile_max)) ** 2
-    return bound * (1.0 + 1e-12) + 1e-300
-
-
-def conditional_position_density(
-    state: TwoAtomState, orbital, samples_per_site: int, x1: float, jobs: int = 1
-) -> Slice1D:
-    """conditional_density(joint_position_density(state, orbital,
-    samples_per_site, jobs), x1), bit for bit, from a band of the grid.
-
-    The slice reads the grid's row r nearest x1 and the grid's sum.  Row r
-    is computed in full, as a one-row block, and of the other tiles those
-    whose _position_bound reaches _BAND_FLOOR of the largest.  The band's
-    sum is taken twice, with the tiles left out at 0 and at their bound;
-    the rest of the grid is computed too unless the two sums are equal.
-    """
-    x, w, bounds = _position_axes(state, orbital, samples_per_site)
-    step, edges = 1.0 / samples_per_site, _tile_edges(len(x))
-    r = int(np.argmin(np.abs(x - x1)))
-    bound = _position_bound(state, w, edges)
-    block_bound = np.maximum.reduceat(bound, bounds[:-1])
-    keep = block_bound >= _BAND_FLOOR * block_bound.max()
-    dens = np.zeros((len(x), len(x)))
-    _fill_position_grid(state, w, bounds, keep, dens, jobs)
-    _position_block(w, state.weights, state.amplitudes, state.conjugate_of, dens, r, r + 1)
-    total = dens.sum()
-    # Rounding to nearest is monotone, so each addition is monotone in both
-    # operands, and ndarray.sum adds the same buffer in an order that does
-    # not depend on its values.  So the sum is monotone in every value: if
-    # the left-out values give one sum at 0 and at their bound, every grid
-    # in between has it, and the full grid is one of them.
-    for t, (t0, t1) in enumerate(zip(edges[:-1], edges[1:])):
-        rows = ~np.repeat(keep[:, t], np.diff(bounds))
-        rows[r] = False
-        dens[rows, t0:t1] = bound[rows, t, None]
-    if dens.sum() != total:
-        _fill_position_grid(state, w, bounds, ~keep, dens, jobs)  # over the bounds
-        total = dens.sum()
-    dens[r] /= total * step * step  # as joint_position_density; only row r is read
-    return conditional_density(DistributionGrid(axis1=x, axis2=x.copy(), density=dens), x1)
 
 
 def joint_momentum_density(state: TwoAtomState, orbital, zones: int = 2) -> DistributionGrid:

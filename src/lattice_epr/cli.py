@@ -298,8 +298,9 @@ def _cmd_distributions(sc: Scenario, writer: _Writer, args):
     slice_w = analysis.conditional_density(pos, float(j0))
     del pos  # never hold two position grids
     gaussian = lattice.GaussianOrbital(model.width.sigma)
-    slice_g = analysis.conditional_position_density(
-        state, gaussian, sc.samples_per_site, float(j0), writer.jobs
+    slice_g = analysis.conditional_density(
+        analysis.joint_position_density(state, gaussian, sc.samples_per_site, jobs=writer.jobs),
+        float(j0),
     )
     writer.table(
         "position_slice." + args.format,

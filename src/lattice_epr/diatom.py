@@ -176,7 +176,8 @@ class TwoAtomState:
         """Distribution of the folded sum momentum p1 + p2.
 
         Site-level momenta live on p = 2 pi m / N (units hbar/a); the sum is
-        folded into (-pi, pi].  Returns (p_plus, probabilities).
+        folded into [-pi, pi), which holds -pi for even N.  Returns
+        (p_plus, probabilities).
         """
         n = self.n_sites
         p2 = np.abs(np.fft.fft2(self.amplitudes)) ** 2

@@ -1,14 +1,14 @@
 """Distributions, peak metrics, closed-form widths, and the optimizer."""
 
-import itertools
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_epr import analysis, diatom, lattice, pipeline
+from lattice_epr import analysis, diatom, lattice
 from lattice_epr.errors import (
     ConditioningError,
     DomainError,
@@ -16,7 +16,6 @@ from lattice_epr.errors import (
     NoPeakError,
     SingularityError,
 )
-from lattice_epr.scenario import load_scenario
 from conftest import nearest_only_profile
 
 
@@ -95,7 +94,7 @@ def test_position_density_with_exact_zeros_equals_the_full_products(
     state = diatom.thermal_diatom_state(diatom.diatom_band_exact(h), 0.01, sigma_e=2.0)
     orb = li_wannier if orbital == "wannier" else lattice.GaussianOrbital(0.136)
     ref, has_zeros = _position_density_full_products(state, orb, 32)
-    # the Gaussian orbital underflows to exact zeros beyond ~7 sites
+    # the Gaussian orbital is flushed to exact zeros beyond ~5 sites
     assert has_zeros == (orbital == "gaussian")
     grid = analysis.joint_position_density(state, orb, 32, jobs=jobs)
     assert np.array_equal(grid.density, ref)
@@ -253,113 +252,29 @@ def _state_of_mode(li_hopping, n, mode):
     return diatom.thermal_diatom_state(band, 0.01, sigma_e=sigma_e)
 
 
+@dataclass(frozen=True)
+class _UnflushedGaussian:
+    """GaussianOrbital's closed form without its flush to 0 below 1e-150."""
+
+    sigma: float
+
+    def at(self, dx):
+        sigma = self.sigma
+        return (2.0 * math.pi * sigma**2) ** -0.25 * np.exp(-(dx**2) / (4.0 * sigma**2))
+
+
 @pytest.mark.parametrize("mode", ["ground", "envelope", "thermal"])
 @pytest.mark.parametrize("n", [8, 16, 17, 64])
-def test_conditional_position_density_equals_the_full_grid_slice(li_hopping, n, mode):
+def test_position_density_flushed_gaussian_keeps_the_slice(li_hopping, n, mode):
     state = _state_of_mode(li_hopping, n, mode)
-    orb = lattice.GaussianOrbital(0.136)
+    flushed, unflushed = lattice.GaussianOrbital(0.136), _UnflushedGaussian(0.136)
+    x = np.arange(n * 32) / 32
+    assert np.array_equal(flushed.at(x), np.where(unflushed.at(x) < 1e-150, 0.0, unflushed.at(x)))
     x1 = float(n // 2)
-    ref = analysis.conditional_density(analysis.joint_position_density(state, orb, 32), x1)
-    for jobs in (1, 2):
-        got = analysis.conditional_position_density(state, orb, 32, x1, jobs)
-        assert np.array_equal(got.x, ref.x)
-        assert np.array_equal(got.density, ref.density)
-
-
-@pytest.mark.parametrize("mode", ["envelope", "thermal"])
-@pytest.mark.parametrize("n", [16, 17])
-def test_conditional_position_density_takes_any_orbital_and_the_nearest_row(
-    li_hopping, li_wannier, n, mode
-):
-    # the Wannier orbital has no exact zero, and x1 lies between grid rows
-    state = _state_of_mode(li_hopping, n, mode)
-    x1 = n / 2 + 0.3
-    grid = analysis.joint_position_density(state, li_wannier, 32)
-    ref = analysis.conditional_density(grid, x1)
-    got = analysis.conditional_position_density(state, li_wannier, 32, x1, 2)
+    ref = analysis.conditional_density(analysis.joint_position_density(state, unflushed, 32), x1)
+    got = analysis.conditional_density(analysis.joint_position_density(state, flushed, 32, 2), x1)
+    assert np.array_equal(got.x, ref.x)
     assert np.array_equal(got.density, ref.density)
-
-
-@pytest.fixture(scope="module")
-def lithium_gaussian_slice():
-    """lithium-example's state, its harmonic-well orbital and the slice of
-    its full Gaussian grid at x1 = j0 = 32."""
-    model = pipeline.Model(load_scenario("lithium-example"))
-    orb = lattice.GaussianOrbital(model.width.sigma)
-    grid = analysis.joint_position_density(model.state, orb, 32, jobs=2)
-    return model.state, orb, analysis.conditional_density(grid, 32.0)
-
-
-def _fills(monkeypatch):
-    """Record the tile masks that _fill_position_grid computes."""
-    masks, fill = [], analysis._fill_position_grid
-
-    def record(state, w, bounds, tiles, out, jobs):
-        masks.append(np.array(tiles))
-        fill(state, w, bounds, tiles, out, jobs)
-
-    monkeypatch.setattr(analysis, "_fill_position_grid", record)
-    return masks
-
-
-def test_conditional_position_density_computes_a_band(lithium_gaussian_slice, monkeypatch):
-    state, orb, ref = lithium_gaussian_slice
-    masks = _fills(monkeypatch)
-    got = analysis.conditional_position_density(state, orb, 32, 32.0, 2)
-    assert np.array_equal(got.density, ref.density)
-    # one fill, of a band: 76 of the 256 tiles at the 1e-20 floor
-    assert len(masks) == 1 and masks[0].shape == (16, 16)
-    assert masks[0].sum() < 128
-
-
-def test_conditional_position_density_refuses_a_band_that_changes_the_sum(
-    lithium_gaussian_slice, monkeypatch
-):
-    # at a floor of 1e-12 the tiles left out change the grid's sum, so the
-    # band is refused and the other tiles are computed too
-    state, orb, ref = lithium_gaussian_slice
-    monkeypatch.setattr(analysis, "_BAND_FLOOR", 1e-12)
-    masks = _fills(monkeypatch)
-    got = analysis.conditional_position_density(state, orb, 32, 32.0, 1)
-    assert np.array_equal(got.density, ref.density)
-    assert len(masks) == 2 and np.array_equal(masks[1], ~masks[0])
-    # the refusal is needed: the band and row r alone sum to another value
-    x, w, bounds = analysis._position_axes(state, orb, 32)
-    full, band = np.zeros((2, len(x), len(x)))
-    analysis._fill_position_grid(state, w, bounds, np.ones_like(masks[0]), full, 2)
-    analysis._fill_position_grid(state, w, bounds, masks[0], band, 2)
-    r = int(np.argmin(np.abs(x - 32.0)))
-    band[r] = full[r]
-    assert band.sum() != full.sum()
-
-
-@pytest.mark.parametrize("mode", ["ground", "envelope", "thermal"])
-@pytest.mark.parametrize("n", [8, 16, 17, 64])
-def test_conditional_position_density_fills_only_the_band(li_hopping, n, mode, monkeypatch):
-    # the cases of test_conditional_position_density_equals_the_full_grid_slice;
-    # none needs the tiles left out
-    state = _state_of_mode(li_hopping, n, mode)
-    masks = _fills(monkeypatch)
-    analysis.conditional_position_density(state, lattice.GaussianOrbital(0.136), 32, float(n // 2), 2)
-    assert len(masks) == 1
-
-
-@pytest.mark.parametrize("orbital", ["wannier", "gaussian"])
-@pytest.mark.parametrize("mode", ["ground", "envelope", "thermal"])
-@pytest.mark.parametrize("n", [8, 16, 17, 64])
-def test_position_bound_holds_every_value_of_its_row_and_tile(
-    li_hopping, li_wannier, n, mode, orbital
-):
-    # the band's check rests on this; with the Gaussian orbital the largest
-    # value / bound is 1 - 1e-12, so this also guards the bound's rounding room
-    state = _state_of_mode(li_hopping, n, mode)
-    orb = li_wannier if orbital == "wannier" else lattice.GaussianOrbital(0.136)
-    x, w, bounds = analysis._position_axes(state, orb, 32)
-    full = np.zeros((len(x), len(x)))
-    analysis._fill_position_grid(state, w, bounds, itertools.repeat(slice(None)), full, 2)
-    edges = analysis._tile_edges(len(x))
-    bound = analysis._position_bound(state, w, edges)
-    assert np.all(np.maximum.reduceat(full, edges[:-1], axis=1) <= bound)
 
 
 @pytest.mark.parametrize("orbital", ["wannier", "gaussian"])
@@ -369,7 +284,7 @@ def test_position_block_one_row_equals_that_row_of_the_grid(li_hopping, li_wanni
     orb = li_wannier if orbital == "wannier" else lattice.GaussianOrbital(0.136)
     x, w, bounds = analysis._position_axes(state, orb, 32)
     full = np.zeros((len(x), len(x)))
-    analysis._fill_position_grid(state, w, bounds, itertools.repeat(slice(None)), full, 1)
+    analysis._fill_position_grid(state, w, bounds, full, 1)
     rows = np.zeros_like(full)
     for r in (0, 1, 127, 128, 200, n * 16, len(x) - 1):
         analysis._position_block(
@@ -421,6 +336,9 @@ def test_conditional_density(small_ground, li_wannier):
     grid = analysis.joint_position_density(small_ground, li_wannier, 32)
     sl = analysis.conditional_density(grid, 8.5)
     assert sl.total() == pytest.approx(1.0, abs=1e-8)
+    # an off-grid x1 takes the nearest row
+    assert np.array_equal(analysis.conditional_density(grid, 8.51).density, sl.density)
+    assert not np.array_equal(analysis.conditional_density(grid, 8.54).density, sl.density)
     with pytest.raises(ConditioningError):
         analysis.conditional_density(grid, 1e4)
 

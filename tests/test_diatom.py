@@ -64,6 +64,14 @@ def test_ground_state_sum_momentum_is_sharp(li_ground_32):
     assert probs[np.argmin(np.abs(p))] == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("n", [16, 17])
+def test_sum_momentum_is_folded_into_minus_pi_to_pi(n):
+    p, _ = diatom.envelope_state(n, 2.0).sum_momentum_distribution()
+    assert np.array_equal(p, 2.0 * np.pi * np.arange(-(n // 2), (n + 1) // 2) / n)
+    assert -np.pi <= p[0] and p[-1] < np.pi
+    assert (p[0] == -np.pi) == (n % 2 == 0)
+
+
 def test_diatom_band_matches_perturbation_theory(li_diatom_32, li_hopping):
     band = diatom.diatom_band_exact(li_diatom_32)
     v2 = diatom.hopping_two_atom(li_hopping.v_hop, VDD_LI)
