@@ -265,7 +265,8 @@ class _UnflushedGaussian:
 
 @pytest.mark.parametrize("mode", ["ground", "envelope", "thermal"])
 @pytest.mark.parametrize("n", [8, 16, 17, 64])
-def test_position_density_flushed_gaussian_keeps_the_slice(li_hopping, n, mode):
+def test_conditional_position_density_equals_the_full_grid_slice(li_hopping, n, mode):
+    """The flushed Gaussian orbital's slice equals the unflushed full grid's, bit for bit."""
     state = _state_of_mode(li_hopping, n, mode)
     flushed, unflushed = lattice.GaussianOrbital(0.136), _UnflushedGaussian(0.136)
     x = np.arange(n * 32) / 32
