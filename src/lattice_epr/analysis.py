@@ -14,7 +14,6 @@ sqrt(2 ln 2) = 1.1774 whenever compared against closed forms.
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,6 +38,7 @@ __all__ = [
     "joint_position_density",
     "joint_momentum_density",
     "conditional_density",
+    "conditional_position_density",
     "marginal",
     "sum_momentum_marginal",
     "peak_metrics",
@@ -115,18 +115,9 @@ def _tile_edges(g):
     return np.append(np.arange(0, g - 1, _POSITION_TILE_COLS), g)
 
 
-def _sites(mask):
-    """The indices where ``mask`` is true: a slice when they are
-    consecutive, so that indexing with it copies nothing, else an index
-    array."""
-    sites = np.flatnonzero(mask)
-    if len(sites) and sites[-1] - sites[0] == len(sites) - 1:
-        return slice(sites[0], sites[-1] + 1)
-    return sites
-
-
 def _position_block(w, weights, amplitudes, source, out, lo, hi):
-    """Weighted sum over the ensemble of |w[lo:hi] c w^T|^2 into out[lo:hi].
+    """Weighted sum over the ensemble of |w[lo:hi] c w^T|^2 into out, the
+    hi - lo rows that the caller hands in.
 
     Each member m adds the term of member source[m] (a state's
     conjugate_of), and only the members with source[m] == m are computed.
@@ -155,18 +146,9 @@ def _position_block(w, weights, amplitudes, source, out, lo, hi):
     Tiles are the outer loop.  In each tile every computed member's squared
     modulus times its weight is formed once, the terms are summed into a
     zeroed tile in member order, through the map, and the tile is copied
-    into out[lo:hi] once.  So each entry is the sum of the same terms in
-    the same order as the full complex products would give.
-
-    The first product contracts only over the sites where w[lo:hi] has a
-    non-zero value, and each tile's second product only over the sites
-    where w[t0:t1] has one, in ascending order (_sites): only a block or
-    tile whose sites wrap the ring copies its operands.  An orbital
-    without exact zeros, such as the Wannier orbital, contracts over all N
-    sites.  The terms left out are exact zeros.  That dropping them leaves
-    every sum unchanged is observed of OpenBLAS, not promised, and the
-    tests check it against the full products, as they do the conjugate
-    reuse.
+    into out once.  So each entry is the sum of the same terms in the same
+    order as the full complex products would give.  Every product
+    contracts over all N sites.
 
     Runs in worker threads, so it calls nothing but numpy: the package's
     functions then only ever run on the calling thread.
@@ -174,21 +156,18 @@ def _position_block(w, weights, amplitudes, source, out, lo, hi):
     g, n = w.shape
     height = hi - lo
     width = -(-height // 8) * 8
-    sites = _sites(w[lo:hi].any(axis=0))
-    rows = np.pad(w[lo:hi, sites], ((0, width - height), (0, 0)))
+    rows = np.pad(w[lo:hi], ((0, width - height), (0, 0)))
     edges = _tile_edges(g)
     computed = np.flatnonzero(source == np.arange(len(source)))
     slot = np.searchsorted(computed, source)  # member m adds terms[slot[m]]
     left_t = np.empty((len(computed), n, width), dtype=complex)
     for left, m in zip(left_t, computed):
-        left[...] = (rows @ amplitudes[m][sites]).T
+        left[...] = (rows @ amplitudes[m]).T
     tile_max = np.diff(edges).max()
     terms = np.empty((len(computed), tile_max, width))
     for t0, t1 in zip(edges[:-1], edges[1:]):
-        tile_sites = _sites(w[t0:t1].any(axis=0))
-        tile_w = w[t0:t1, tile_sites]
         for k, m in enumerate(computed):
-            z = (tile_w @ left_t[k, tile_sites].view(np.float64)).view(complex)
+            z = (w[t0:t1] @ left_t[k].view(np.float64)).view(complex)
             term = terms[k, : t1 - t0]
             np.abs(z, out=term)
             np.square(term, out=term)
@@ -196,7 +175,7 @@ def _position_block(w, weights, amplitudes, source, out, lo, hi):
         tile = np.zeros((t1 - t0, width))
         for k in slot:
             tile += terms[k, : t1 - t0]
-        out[lo:hi, t0:t1] = tile[:, :height].T
+        out[:, t0:t1] = tile[:, :height].T
 
 
 def _position_axes(state: TwoAtomState, orbital, samples_per_site):
@@ -220,11 +199,31 @@ def _position_axes(state: TwoAtomState, orbital, samples_per_site):
 def _fill_position_grid(state: TwoAtomState, w, bounds, out, jobs):
     """Compute the row blocks of the unnormalised grid into ``out`` on up
     to ``jobs`` threads."""
-    block = functools.partial(
-        _position_block, w, state.weights, state.amplitudes, state.conjugate_of, out
-    )
+
+    def block(lo, hi):
+        _position_block(
+            w, state.weights, state.amplitudes, state.conjugate_of, out[lo:hi], lo, hi
+        )
+
     with ThreadPoolExecutor(max_workers=min(jobs, len(bounds) - 1)) as pool:
         list(pool.map(block, bounds[:-1], bounds[1:]))  # re-raises failures
+
+
+def _position_total(state: TwoAtomState, w):
+    """Sum of the unnormalised position grid without the grid.
+
+    The grid of member m is |w c w^T|^2, so its sum is the squared
+    Frobenius norm tr(c^H O c O) of w c w^T, with O = w^T w the orbital's
+    N x N Gram matrix on the grid.  It agrees with the grid's ndarray.sum
+    to about 1e-15 relative, not bit for bit.
+    """
+    gram = w.T @ w
+    return float(
+        sum(
+            weight * np.vdot(c, gram @ c @ gram).real
+            for weight, c in zip(state.weights, state.amplitudes)
+        )
+    )
 
 
 def joint_position_density(
@@ -271,16 +270,47 @@ def joint_momentum_density(state: TwoAtomState, orbital, zones: int = 2) -> Dist
     return DistributionGrid(axis1=p, axis2=p.copy(), density=dens)
 
 
-def conditional_density(grid: DistributionGrid, value: float) -> Slice1D:
-    """Normalized slice P(x2 | x1 = value) at the nearest grid line."""
-    coords = grid.axis1
-    if value < coords.min() - grid.d1 or value > coords.max() + grid.d1:
+def _nearest_line(coords, step, value):
+    """Index of the grid line nearest ``value``; ConditioningError when
+    value lies more than one step outside the grid."""
+    if value < coords.min() - step or value > coords.max() + step:
         raise ConditioningError(f"conditioning value {value} outside the grid")
-    line = grid.density[int(np.argmin(np.abs(coords - value)))]
-    norm = float(line.sum() * grid.d2)
+    return int(np.argmin(np.abs(coords - value)))
+
+
+def _normalized_slice(x, line, step):
+    norm = float(line.sum() * step)
     if norm < 1e-12:
         raise ConditioningError("conditioning on a zero-probability value")
-    return Slice1D(x=grid.axis2.copy(), density=line / norm)
+    return Slice1D(x=x.copy(), density=line / norm)
+
+
+def conditional_density(grid: DistributionGrid, value: float) -> Slice1D:
+    """Normalized slice P(x2 | x1 = value) at the nearest grid line."""
+    line = grid.density[_nearest_line(grid.axis1, grid.d1, value)]
+    return _normalized_slice(grid.axis2, line, grid.d2)
+
+
+def conditional_position_density(
+    state: TwoAtomState, orbital, samples_per_site: int, value: float
+) -> Slice1D:
+    """P(x2 | x1 = value) of joint_position_density's grid, without the grid.
+
+    Row r, the grid line nearest ``value``, is computed as a one-row block,
+    which equals that row of the grid bit for bit.  It is divided by the
+    grid's total from _position_total and then by its own sum, as the
+    grid's slice is, so the result agrees with
+    conditional_density(joint_position_density(...), value) to about 1e-15
+    relative and raises the same errors.  Dividing by the row's sum alone
+    would change the .12g text of some subnormal values.
+    """
+    x, w, _ = _position_axes(state, orbital, samples_per_site)
+    step = 1.0 / samples_per_site
+    r = _nearest_line(x, step, value)
+    row = np.empty((1, len(x)))
+    _position_block(w, state.weights, state.amplitudes, state.conjugate_of, row, r, r + 1)
+    line = row[0] / (_position_total(state, w) * step * step)
+    return _normalized_slice(x, line, step)
 
 
 def marginal(grid: DistributionGrid) -> Slice1D:

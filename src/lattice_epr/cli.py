@@ -296,11 +296,10 @@ def _cmd_distributions(sc: Scenario, writer: _Writer, args):
     writer.table("position_joint." + args.format, ["x1", "x2", "density"], pos)
     j0 = sc.j0 if sc.j0 is not None else sc.n_sites // 2
     slice_w = analysis.conditional_density(pos, float(j0))
-    del pos  # never hold two position grids
+    del pos  # free the grid before the momentum tables
     gaussian = lattice.GaussianOrbital(model.width.sigma)
-    slice_g = analysis.conditional_density(
-        analysis.joint_position_density(state, gaussian, sc.samples_per_site, jobs=writer.jobs),
-        float(j0),
+    slice_g = analysis.conditional_position_density(
+        state, gaussian, sc.samples_per_site, float(j0)
     )
     writer.table(
         "position_slice." + args.format,

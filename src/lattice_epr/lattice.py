@@ -252,8 +252,7 @@ class GaussianOrbital:
         sigma = self.sigma
         amp = (2.0 * math.pi * sigma**2) ** -0.25 * np.exp(-(dx**2) / (4.0 * sigma**2))
         # A product of two orbital values of at least 1e-150 is a normal
-        # float, so no GEMM of the position grid runs on subnormals, and the
-        # grid skips the sites where the orbital is exactly 0.
+        # float, so no GEMM of the position grid runs on subnormals.
         return np.where(amp < 1e-150, 0.0, amp)
 
     def momentum_at(self, p):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_epr import analysis, diatom, lattice
+from lattice_epr import analysis, diatom, lattice, pipeline
 from lattice_epr.errors import (
     ConditioningError,
     DomainError,
@@ -16,6 +16,7 @@ from lattice_epr.errors import (
     NoPeakError,
     SingularityError,
 )
+from lattice_epr.scenario import LITHIUM_EXAMPLE, parse_scenario
 from conftest import nearest_only_profile
 
 
@@ -162,7 +163,7 @@ def test_position_block_tiles_without_common_sites_are_exactly_zero():
         band, rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n)), 0
     )
     out = np.empty((g, g))
-    analysis._position_block(w, weights, amplitudes, np.arange(2), out, 256, 512)
+    analysis._position_block(w, weights, amplitudes, np.arange(2), out[256:512], 256, 512)
     ref = sum(weight * np.abs(w[256:512] @ c @ w.T) ** 2 for weight, c in zip(weights, amplitudes))
     assert np.array_equal(out[256:512], ref)
     assert not out[256:512, 768:].any()  # sites 24..31 share no site with 8..15
@@ -201,7 +202,7 @@ def test_position_block_real_product_is_exact(g, n, lo, hi, orbital):
     # product summed in member order
     w, weights, amplitudes = _random_block_inputs(g, n, lo, orbital)
     out = np.full((g, g), np.nan)
-    analysis._position_block(w, weights, amplitudes, np.arange(3), out, lo, hi)
+    analysis._position_block(w, weights, amplitudes, np.arange(3), out[lo:hi], lo, hi)
     assert np.array_equal(out[lo:hi], _block_reference(w, weights, amplitudes, lo, hi))
 
 
@@ -214,7 +215,7 @@ def test_position_block_real_product_is_exact_for_a_conjugate_pair(g, n, lo, hi,
     weights = np.insert(weights, 2, weights[0])
     amplitudes = np.insert(amplitudes, 2, amplitudes[0].conj(), axis=0)
     out = np.full((g, g), np.nan)
-    analysis._position_block(w, weights, amplitudes, np.array([0, 1, 0, 3]), out, lo, hi)
+    analysis._position_block(w, weights, amplitudes, np.array([0, 1, 0, 3]), out[lo:hi], lo, hi)
     assert np.array_equal(out[lo:hi], _block_reference(w, weights, amplitudes, lo, hi))
 
 
@@ -232,7 +233,7 @@ def test_position_block_peak_allocation(li_wannier, orbital):
     out = np.empty((len(x), len(x)))
     tracemalloc.start()
     try:
-        analysis._position_block(w, weights, amplitudes, np.arange(4), out, 256, 512)
+        analysis._position_block(w, weights, amplitudes, np.arange(4), out[256:512], 256, 512)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -265,7 +266,7 @@ class _UnflushedGaussian:
 
 @pytest.mark.parametrize("mode", ["ground", "envelope", "thermal"])
 @pytest.mark.parametrize("n", [8, 16, 17, 64])
-def test_conditional_position_density_equals_the_full_grid_slice(li_hopping, n, mode):
+def test_position_density_flush_keeps_the_full_grid_slice(li_hopping, n, mode):
     """The flushed Gaussian orbital's slice equals the unflushed full grid's, bit for bit."""
     state = _state_of_mode(li_hopping, n, mode)
     flushed, unflushed = lattice.GaussianOrbital(0.136), _UnflushedGaussian(0.136)
@@ -289,9 +290,93 @@ def test_position_block_one_row_equals_that_row_of_the_grid(li_hopping, li_wanni
     rows = np.zeros_like(full)
     for r in (0, 1, 127, 128, 200, n * 16, len(x) - 1):
         analysis._position_block(
-            w, state.weights, state.amplitudes, state.conjugate_of, rows, r, r + 1
+            w, state.weights, state.amplitudes, state.conjugate_of, rows[r : r + 1], r, r + 1
         )
         assert np.array_equal(rows[r], full[r])
+
+
+@pytest.mark.parametrize("orbital", ["wannier", "gaussian"])
+@pytest.mark.parametrize("mode", ["ground", "envelope", "thermal"])
+@pytest.mark.parametrize("n", [8, 16, 17, 64])
+def test_position_total_equals_the_grid_sum(li_hopping, li_wannier, n, mode, orbital):
+    state = _state_of_mode(li_hopping, n, mode)
+    orb = li_wannier if orbital == "wannier" else lattice.GaussianOrbital(0.136)
+    x, w, bounds = analysis._position_axes(state, orb, 32)
+    grid = np.zeros((len(x), len(x)))
+    analysis._fill_position_grid(state, w, bounds, grid, 2)
+    assert analysis._position_total(state, w) == pytest.approx(grid.sum(), rel=4e-15, abs=0)
+
+
+@pytest.mark.parametrize("mode", ["ground", "envelope", "thermal"])
+@pytest.mark.parametrize("n", [8, 16, 17, 64])
+def test_conditional_position_density_equals_the_full_grid_slice(li_hopping, li_wannier, n, mode):
+    state = _state_of_mode(li_hopping, n, mode)
+    x1 = float(n // 2)
+    for orb in (li_wannier, lattice.GaussianOrbital(0.136)):
+        ref = analysis.conditional_density(analysis.joint_position_density(state, orb, 32, 2), x1)
+        got = analysis.conditional_position_density(state, orb, 32, x1)
+        assert np.array_equal(got.x, ref.x)
+        np.testing.assert_allclose(got.density, ref.density, rtol=1e-13, atol=1e-300)
+
+
+@pytest.mark.parametrize("n", [8, 16, 17, 64])
+def test_position_total_of_a_product_state_is_the_squared_gram_diagonal(li_wannier, n):
+    # c = e_{j0 j0}: the grid is w(x1 - j0)^2 w(x2 - j0)^2, whose sum is
+    # O[j0, j0]^2, and whose slice is the orbital density about j0
+    j0 = n // 2
+    amplitudes = np.zeros((1, n, n), dtype=complex)
+    amplitudes[0, j0, j0] = 1.0
+    state = diatom.TwoAtomState(weights=np.ones(1), amplitudes=amplitudes)
+    x, w, _ = analysis._position_axes(state, li_wannier, 32)
+    gram = w.T @ w
+    total = analysis._position_total(state, w)
+    assert total == pytest.approx(gram[j0, j0] ** 2, rel=1e-15, abs=0)
+    if n >= 16:  # an 8-site ring cuts the orbital's tail at 4 sites
+        assert total == pytest.approx(32.0**2, rel=1e-14, abs=0)
+    got = analysis.conditional_position_density(state, li_wannier, 32, float(j0))
+    np.testing.assert_allclose(
+        got.density, w[:, j0] ** 2 / (gram[j0, j0] / 32), rtol=1e-13, atol=1e-300
+    )
+
+
+def test_wannier_orbital_is_orthonormal_on_the_grid():
+    # w^T w / samples_per_site is the overlap matrix of the site orbitals
+    model = pipeline.Model(parse_scenario(LITHIUM_EXAMPLE))
+    n, samples_per_site = model.state.n_sites, 32
+    overlaps = []
+    for orb in (model.wannier0, lattice.GaussianOrbital(model.width.sigma)):
+        _, w, _ = analysis._position_axes(model.state, orb, samples_per_site)
+        overlaps.append(w.T @ w / samples_per_site)
+    wannier, gaussian = overlaps
+    assert np.abs(wannier - np.eye(n)).max() <= 1e-14
+    assert np.abs(np.diag(gaussian) - 1.0).max() <= 1e-14
+    assert gaussian[0, 1] == pytest.approx(1.2e-3, rel=0.01)
+
+
+def test_conditional_position_density_row_and_errors(li_hopping):
+    state = _state_of_mode(li_hopping, 17, "thermal")
+    orb = lattice.GaussianOrbital(0.136)
+    grid = analysis.joint_position_density(state, orb, 32)
+    at_8_5 = analysis.conditional_position_density(state, orb, 32, 8.5)
+    for value in (8.5, 8.51):  # the off-grid 8.51 takes the row of 8.5
+        got = analysis.conditional_position_density(state, orb, 32, value)
+        assert np.array_equal(got.density, at_8_5.density)
+        ref = analysis.conditional_density(grid, value)
+        np.testing.assert_allclose(got.density, ref.density, rtol=1e-13, atol=1e-300)
+    for value in (-0.5, 17.5):
+        with pytest.raises(ConditioningError, match="outside the grid"):
+            analysis.conditional_density(grid, value)
+        with pytest.raises(ConditioningError, match="outside the grid"):
+            analysis.conditional_position_density(state, orb, 32, value)
+    # the flushed orbital is exactly 0 eight sites from the one occupied one
+    amplitudes = np.zeros((1, 16, 16), dtype=complex)
+    amplitudes[0, 8, 8] = 1.0
+    product = diatom.TwoAtomState(weights=np.ones(1), amplitudes=amplitudes)
+    grid = analysis.joint_position_density(product, orb, 32)
+    with pytest.raises(ConditioningError, match="zero-probability"):
+        analysis.conditional_density(grid, 0.0)
+    with pytest.raises(ConditioningError, match="zero-probability"):
+        analysis.conditional_position_density(product, orb, 32, 0.0)
 
 
 def test_position_density_grid_guard(small_ground):
