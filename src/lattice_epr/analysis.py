@@ -14,6 +14,7 @@ sqrt(2 ln 2) = 1.1774 whenever compared against closed forms.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -119,17 +120,17 @@ def _position_block(w, weights, amplitudes, source, out, lo, hi):
     """Weighted sum over the ensemble of |w[lo:hi] c w^T|^2 into out, the
     hi - lo rows that the caller hands in.
 
-    Each member m adds the term of member source[m] (a state's
-    conjugate_of), and only the members with source[m] == m are computed.
-    A member whose amplitudes equal the conjugate of another's, with the
-    same weight, has the same term bit for bit: the orbital w is real, so
-    its first product w[lo:hi] conj(c) is the conjugate of w[lo:hi] c
-    (rounding to nearest is symmetric under a change of sign), the real
-    second product below then flips only the sign of the imaginary part,
-    and the modulus ignores it.  The sign of a zero can change only the
-    sign of a zero result, which the modulus drops too.  That the BLAS
-    kernels keep this symmetry is observed, not promised, and the tests
-    check it against computing every member.
+    Each member m adds the term of member source[m] (see _term_sources),
+    and only the members with source[m] == m are computed.  A member whose
+    amplitudes equal another's, or their conjugate, with the same weight,
+    has the same term bit for bit: the orbital w is real, so the first
+    product w[lo:hi] conj(c) is the conjugate of w[lo:hi] c (rounding to
+    nearest is symmetric under a change of sign), the real second product
+    below then flips only the sign of the imaginary part, and the modulus
+    ignores it.  The sign of a zero can change only the sign of a zero
+    result, which the modulus drops too.  That the BLAS kernels keep this
+    symmetry is observed, not promised, and the tests check it against
+    computing every member.
 
     The first products, left = w[lo:hi] c, are complex and are computed
     once per block.  The second one multiplies left by the real orbital, so
@@ -196,14 +197,44 @@ def _position_axes(state: TwoAtomState, orbital, samples_per_site):
     return x, orbital.at(dx), bounds
 
 
+def _term_sources(state: TwoAtomState):
+    """source[m] for _position_block: the first earlier member with member
+    m's weight whose amplitudes equal m's or their conjugate, else m.
+
+    Equal means np.array_equal, which ignores the sign of a zero.  The
+    candidates are the members with the same digest of the weight, the
+    real parts and the moduli of the imaginary parts, which a member shares
+    with its conjugate; + 0.0 and the modulus turn -0 into +0, so
+    conjugating a real entry, which gives an imaginary -0, keeps the
+    digest.  In a thermal state each theta > 0 member is the conjugate of
+    its -theta member, so 33 of the 64 of lithium-example are computed.
+    """
+    weights, amplitudes = state.weights, state.amplitudes
+    source = np.arange(len(weights))
+    candidates = {}
+    for m, c in enumerate(amplitudes):
+        h = hashlib.sha256(np.float64(weights[m] + 0.0).tobytes())
+        h.update(c.real + 0.0)
+        h.update(np.abs(c.imag))
+        same = candidates.setdefault(h.digest(), [])
+        for p in same:
+            if weights[p] == weights[m] and (
+                np.array_equal(amplitudes[p], c) or np.array_equal(amplitudes[p], c.conj())
+            ):
+                source[m] = p
+                break
+        else:
+            same.append(m)
+    return source
+
+
 def _fill_position_grid(state: TwoAtomState, w, bounds, out, jobs):
     """Compute the row blocks of the unnormalised grid into ``out`` on up
     to ``jobs`` threads."""
+    source = _term_sources(state)
 
     def block(lo, hi):
-        _position_block(
-            w, state.weights, state.amplitudes, state.conjugate_of, out[lo:hi], lo, hi
-        )
+        _position_block(w, state.weights, state.amplitudes, source, out[lo:hi], lo, hi)
 
     with ThreadPoolExecutor(max_workers=min(jobs, len(bounds) - 1)) as pool:
         list(pool.map(block, bounds[:-1], bounds[1:]))  # re-raises failures
@@ -232,8 +263,8 @@ def joint_position_density(
     """P(x1, x2) = |sum_jl c_jl w(x1 - j) w(x2 - l)|^2 on the periodic box.
 
     ``orbital`` is a lattice.WannierState or lattice.GaussianOrbital.
-    Ensemble states are weight-averaged.  A member that the state declares
-    the conjugate of an earlier one with its weight (``conjugate_of``: the
+    Ensemble states are weight-averaged.  A member whose amplitudes equal
+    an earlier member's, or their conjugate, with the same weight (the
     theta > 0 members of a thermal state) has that member's grid term, so
     the term is computed once and added at both places.  The grid is
     evaluated in blocks of rows whose bounds depend only on the grid size,
@@ -308,7 +339,7 @@ def conditional_position_density(
     step = 1.0 / samples_per_site
     r = _nearest_line(x, step, value)
     row = np.empty((1, len(x)))
-    _position_block(w, state.weights, state.amplitudes, state.conjugate_of, row, r, r + 1)
+    _position_block(w, state.weights, state.amplitudes, _term_sources(state), row, r, r + 1)
     line = row[0] / (_position_total(state, w) * step * step)
     return _normalized_slice(x, line, step)
 

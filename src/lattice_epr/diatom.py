@@ -121,24 +121,19 @@ class TwoAtomState:
 
     ``amplitudes[m]`` is the N x N amplitude matrix over site pairs of
     member m and ``weights[m]`` its weight; weights sum to 1 and each member
-    is normalized.  ``conjugate_of[m]`` = p < m marks member m as the
-    conjugate of member p = conjugate_of[p] with its weight, else it is m.
-    The arrays are made read-only once they pass the checks, so a declared
-    pair cannot go stale.
+    is normalized.  The arrays are made read-only once they pass the
+    checks, so a state stays as it was checked.
     """
 
     weights: np.ndarray          # (M,)
     amplitudes: np.ndarray       # (M, N, N), complex
     bound_occupancy: float | None = None
-    conjugate_of: np.ndarray | None = None  # (M,)
 
     def __post_init__(self):
         m = np.size(self.weights)
-        source = np.arange(m) if self.conjugate_of is None else np.asarray(self.conjugate_of)
-        object.__setattr__(self, "conjugate_of", source)
-        shapes = tuple(np.shape(a) for a in (self.weights, self.amplitudes, source))
-        if shapes != ((m,), (m,) + np.shape(self.amplitudes)[-1:] * 2, (m,)):
-            raise DomainError(f"shapes {shapes} are not (M,), (M, N, N) and (M,)")
+        shapes = tuple(np.shape(a) for a in (self.weights, self.amplitudes))
+        if shapes != ((m,), (m,) + np.shape(self.amplitudes)[-1:] * 2):
+            raise DomainError(f"shapes {shapes} are not (M,) and (M, N, N)")
         # written so that NaN fails the checks
         total = float(np.sum(self.weights))
         if not abs(total - 1.0) <= 1e-10:
@@ -147,14 +142,7 @@ class TwoAtomState:
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-10))
         if len(bad):
             raise DomainError(f"member norm {norms[bad[0]]} differs from 1")
-        members = np.arange(m)
-        if source.dtype.kind not in "iu" or not np.all((0 <= source) & (source <= members)):
-            raise DomainError("conjugate_of[m] must be the index of m or an earlier member")
-        for i, p in zip(members, source):
-            if p != i and not (source[p] == p and self.weights[i] == self.weights[p]
-                               and np.array_equal(self.amplitudes[i], self.amplitudes[p].conj())):
-                raise DomainError(f"member {i} is not the conjugate of member {p} with its weight")
-        for array in (self.weights, self.amplitudes, source):
+        for array in (self.weights, self.amplitudes):
             array.flags.writeable = False
 
     @property
@@ -350,7 +338,6 @@ def thermal_diatom_state(
         raise SizeError(f"bound-state width {width:.1f} sites exceeds N/4; increase N")
     if temperature == 0.0:
         thetas, vectors = thetas[i0 : i0 + 1], vectors[i0 : i0 + 1]
-        conjugate_of = np.zeros(1, dtype=int)
         weights = np.ones(1)
         occupancy = 1.0
     else:
@@ -361,19 +348,8 @@ def thermal_diatom_state(
         occupancy = z_bound / z_all
         weights = np.exp(-beta * (e0 - e0.min()))
         weights /= weights.sum()
-        _, conjugate_of = _com_phases(n)
-    own = conjugate_of == np.arange(len(conjugate_of))
-    amplitudes = _bloch_amplitudes(thetas[own], vectors[own])
+    amplitudes = _bloch_amplitudes(thetas, vectors)
     if sigma_e is not None:
         amplitudes *= envelope
         amplitudes /= np.sqrt(np.sum(np.abs(amplitudes) ** 2, axis=(1, 2)))[:, None, None]
-    # each theta > 0 member is its -theta member conjugated: the band copies
-    # the energies and conjugates the bound vector, and the envelope is real
-    amplitudes = amplitudes[np.searchsorted(np.flatnonzero(own), conjugate_of)]
-    amplitudes.imag[~own] *= -1.0
-    return TwoAtomState(
-        weights=weights,
-        amplitudes=amplitudes,
-        bound_occupancy=occupancy,
-        conjugate_of=conjugate_of,
-    )
+    return TwoAtomState(weights=weights, amplitudes=amplitudes, bound_occupancy=occupancy)

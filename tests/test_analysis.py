@@ -117,7 +117,7 @@ def test_position_density_reuses_conjugate_members_exactly(
     # theta > 0 members' terms once, for their theta < 0 partners
     state = _thermal_state(li_hopping, n, sigma_e)
     orb = li_wannier if orbital == "wannier" else lattice.GaussianOrbital(0.136)
-    assert (state.conjugate_of != np.arange(n)).any()
+    assert (analysis._term_sources(state) != np.arange(n)).any()
     ref, _ = _position_density_full_products(state, orb, 32)
     grid = analysis.joint_position_density(state, orb, 32, jobs=jobs)
     assert np.array_equal(grid.density, ref)
@@ -126,21 +126,43 @@ def test_position_density_reuses_conjugate_members_exactly(
 @pytest.mark.parametrize("change", ["weight", "amplitude"])
 def test_position_density_does_not_reuse_a_member_one_bit_off(li_hopping, li_wannier, change):
     # member 9 (theta = 2 pi / 16) is the conjugate of member 7; with its
-    # weight one ulp up or one amplitude bit flipped, a state that declares
-    # the pair is rejected, and without the pair member 9 is computed in full
+    # weight one ulp up or one amplitude bit flipped, member 9 is computed in
+    # full
     state = _thermal_state(li_hopping, 16, 2.0)
-    assert state.conjugate_of[9] == 7
+    assert analysis._term_sources(state)[9] == 7
     weights, amplitudes = state.weights.copy(), state.amplitudes.copy()
     if change == "weight":
         weights[9] = np.nextafter(weights[9], 1.0)
     else:
         bits = amplitudes[9].view(np.uint64).reshape(-1)
         bits[np.argmax(np.abs(amplitudes[9].view(np.float64)))] ^= np.uint64(1)
-    with pytest.raises(DomainError, match="member 9 is not the conjugate of member 7"):
-        diatom.TwoAtomState(weights=weights, amplitudes=amplitudes, conjugate_of=state.conjugate_of)
     state = diatom.TwoAtomState(weights=weights, amplitudes=amplitudes)
+    assert analysis._term_sources(state)[9] == 9
     ref, _ = _position_density_full_products(state, li_wannier, 32)
     grid = analysis.joint_position_density(state, li_wannier, 32, jobs=3)
+    assert np.array_equal(grid.density, ref)
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_position_density_reuses_members_equal_up_to_zero_signs(li_hopping, li_wannier, jobs):
+    # a member with exact zeros, its conjugate (whose zeros have imaginary
+    # part -0) and a copy whose zeros are -0 - 0i are one term; a member
+    # with other amplitudes is computed
+    c = _thermal_state(li_hopping, 16, 2.0).amplitudes[9].copy()
+    zeros = np.abs(c) < 1e-3
+    c[zeros] = 0.0
+    c /= np.linalg.norm(c)
+    negative_zeros = c.copy()
+    negative_zeros[zeros] = complex(-0.0, -0.0)
+    assert zeros.any() and np.signbit(c.conj().imag[zeros]).all()
+    other = np.eye(16, dtype=complex) / 4.0
+    state = diatom.TwoAtomState(
+        weights=np.array([0.3, 0.3, 0.3, 0.1]),
+        amplitudes=np.stack([c, c.conj(), negative_zeros, other]),
+    )
+    assert np.array_equal(analysis._term_sources(state), [0, 0, 0, 3])
+    ref, _ = _position_density_full_products(state, li_wannier, 32)
+    grid = analysis.joint_position_density(state, li_wannier, 32, jobs=jobs)
     assert np.array_equal(grid.density, ref)
 
 
@@ -288,9 +310,10 @@ def test_position_block_one_row_equals_that_row_of_the_grid(li_hopping, li_wanni
     full = np.zeros((len(x), len(x)))
     analysis._fill_position_grid(state, w, bounds, full, 1)
     rows = np.zeros_like(full)
+    sources = analysis._term_sources(state)
     for r in (0, 1, 127, 128, 200, n * 16, len(x) - 1):
         analysis._position_block(
-            w, state.weights, state.amplitudes, state.conjugate_of, rows[r : r + 1], r, r + 1
+            w, state.weights, state.amplitudes, sources, rows[r : r + 1], r, r + 1
         )
         assert np.array_equal(rows[r], full[r])
 

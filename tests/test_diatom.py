@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_epr import diatom, lattice, pipeline
+from lattice_epr import analysis, diatom, lattice, pipeline
 from lattice_epr.errors import DomainError, RegimeError, SingularityError, SizeError
 from lattice_epr.scenario import LITHIUM_EXAMPLE, parse_scenario
 from conftest import U0_LI, VDD_LI, nearest_only_profile
@@ -177,11 +177,9 @@ def test_thermal_state_rejects_a_negative_temperature(li_band_32):
 
 
 def test_state_and_band_are_read_only(li_band_32):
-    # a declared pair cannot go stale: neither a member nor a field can be
-    # replaced once the state's checks pass
+    # neither a member nor a field can be replaced once the state's checks pass
     state = diatom.thermal_diatom_state(li_band_32, 0.001, sigma_e=2.0)
-    assert state.conjugate_of[17] == 15
-    for array in (state.weights, state.amplitudes, state.conjugate_of):
+    for array in (state.weights, state.amplitudes):
         with pytest.raises(ValueError, match="read-only"):
             array[17] = array[15]
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -244,30 +242,13 @@ def test_state_rejects_non_finite_weights_and_norms(li_diatom_32):
 def test_state_rejects_mismatched_member_counts():
     c = np.eye(8, dtype=complex)[None] / math.sqrt(8.0)
     half = np.full(2, 0.5)
-    for weights, amplitudes, conjugate_of in [
-        (half, np.concatenate([c, c, c]), None),
-        (half, np.concatenate([c, c]), np.arange(3)),
-        (half[None], np.concatenate([c, c]), None),
-        (half, np.concatenate([c, c])[:, :, :4] * math.sqrt(2.0), None),
+    for weights, amplitudes in [
+        (half, np.concatenate([c, c, c])),
+        (half[None], np.concatenate([c, c])),
+        (half, np.concatenate([c, c])[:, :, :4] * math.sqrt(2.0)),
     ]:
-        with pytest.raises(DomainError, match="not \\(M,\\), \\(M, N, N\\) and \\(M,\\)"):
-            diatom.TwoAtomState(weights=weights, amplitudes=amplitudes, conjugate_of=conjugate_of)
-
-
-def test_state_rejects_a_malformed_pairing():
-    # a real member is its own conjugate, so member 1 may declare member 0;
-    # each pair must point back to an earlier member that is its own
-    c = np.eye(8, dtype=complex) / math.sqrt(8.0)
-    two = np.stack([c, c])
-    diatom.TwoAtomState(weights=np.full(2, 0.5), amplitudes=two, conjugate_of=np.array([0, 0]))
-    for conjugate_of in ([1, 1], [0, 0, 1], [0, 0.0, 2], [0, -1, 2]):
-        m = len(conjugate_of)
-        with pytest.raises(DomainError, match="conjugate"):
-            diatom.TwoAtomState(
-                weights=np.full(m, 1.0 / m),
-                amplitudes=np.stack([c] * m),
-                conjugate_of=np.array(conjugate_of),
-            )
+        with pytest.raises(DomainError, match="not \\(M,\\) and \\(M, N, N\\)"):
+            diatom.TwoAtomState(weights=weights, amplitudes=amplitudes)
 
 
 @pytest.mark.parametrize("sigma_e", [0.0, -6.0, math.nan])
@@ -335,21 +316,27 @@ def test_blocks_mirror_equals_solving_every_block(n, li_chains):
     + [(1.0, 8), (1.0, 9), (2.0, 16), (2.0, 17), (2.0, 64)],
 )
 def test_thermal_state_pairs_each_theta_with_minus_theta(li_chains, sigma_e, n):
-    """Each theta > 0 member is built as the conjugate of its -theta member,
-    with the same weight, and equals the member computed directly bit for
-    bit.  The rows left unpaired are theta = 0, theta = -pi for even N, and
-    the two negative phases without a positive partner for odd N.  An
-    envelope of 2 a is clipped at N = 8 and 9, which take 1 a.  CI runs this
-    again with two BLAS threads."""
+    """Each theta > 0 member is the conjugate of its -theta member, with the
+    same weight, and equals the member computed from every block solved bit
+    for bit.  The rows left unpaired are theta = 0, theta = -pi for even N,
+    and the two negative phases without a positive partner for odd N.  The
+    position grid finds exactly these pairs from the amplitudes: a pair it
+    misses leaves the bytes right and doubles the grid's work.  An envelope
+    of 2 a is clipped at N = 8 and 9, which take 1 a.  CI runs this again
+    with two BLAS threads."""
     profile, v_hops = li_chains
     h = diatom.build_hamiltonian(n, v_hops[1], profile)
     band = diatom.diatom_band_exact(h)
     state = diatom.thermal_diatom_state(band, 0.01, sigma_e=sigma_e)
     thetas, mirror = diatom._com_phases(n)
     assert np.array_equal(thetas, band.thetas)
-    assert np.array_equal(state.conjugate_of, mirror)
     paired = np.flatnonzero(mirror != np.arange(n))
     assert len(paired) == (n // 2 - 1 if n % 2 == 0 else (n - 3) // 2)
+    sources = analysis._term_sources(state)
+    assert np.array_equal(sources, mirror)
+    assert np.count_nonzero(sources == np.arange(n)) == n - len(paired)  # 33 of 64
+    for single in (diatom.thermal_diatom_state(band, 0.0), diatom.envelope_state(n, n / 8.0)):
+        assert np.array_equal(analysis._term_sources(single), [0])
     assert np.array_equal(thetas[mirror[paired]], -thetas[paired])
     assert (thetas[paired] > 0).all()
     k = np.arange(-n // 2, n // 2)
