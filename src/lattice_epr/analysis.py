@@ -98,22 +98,21 @@ class Slice1D:
 # ---------------------------------------------------------------------------
 # joint densities
 
-# rows per block and columns per tile of the position grid.  A row of the
-# grid does not depend on the height of the block it is computed in, so the
-# block bounds set only the work per thread and the memory per block.  A
-# block holds the first products and one tile term of every computed
-# member: about 9 MiB for the 33 of lithium-example at 128 x 128, where
-# 128 x 256 and 256 x 128 raised the command's peak RSS by about 18 MB.  A
-# tile holds at least two columns: a one-column remainder joins the tile
-# before it, because a one-column product takes BLAS's matrix-vector path,
-# which rounds differently.
-_POSITION_BLOCK_ROWS = 128
-_POSITION_TILE_COLS = 128
+# side of the position grid's tiles: _tile_edges cuts its rows into blocks
+# and each block's columns into tiles the same way.  A row of the grid does
+# not depend on the height of its block, so the edges set only the work per
+# thread and the memory per block.  A block holds the first products and one
+# tile term of every computed member: about 9 MiB for the 33 of
+# lithium-example at 128 x 128, where a side of 256 rows or columns raised
+# the command's peak RSS by about 18 MB.  A one-point remainder joins the
+# tile before it, because a one-column product takes BLAS's matrix-vector
+# path, which rounds differently.
+_POSITION_TILE = 128
 
 
 def _tile_edges(g):
-    """Column tile edges of a grid of g >= 2 columns."""
-    return np.append(np.arange(0, g - 1, _POSITION_TILE_COLS), g)
+    """Row block and column tile edges of a grid of g >= 2 points."""
+    return np.append(np.arange(0, g - 1, _POSITION_TILE), g)
 
 
 def _position_block(w, weights, amplitudes, source, out, lo, hi):
@@ -134,8 +133,9 @@ def _position_block(w, weights, amplitudes, source, out, lo, hi):
 
     The first products, left = w[lo:hi] c, are complex and are computed
     once per block.  The second one multiplies left by the real orbital, so
-    it is computed transposed, one column tile at a time, as one real GEMM
-    on the interleaved (re, im) values of left^T; complex tiles would spend
+    it is computed transposed, one column tile at a time (the tiles have
+    the edges that cut the grid's rows into blocks), as one real GEMM on
+    the interleaved (re, im) values of left^T; complex tiles would spend
     half their multiplies on the orbital's zero imaginary part.  The
     columns of left^T are padded with zeros to a multiple of 8: without the
     padding the last (hi - lo) mod 8 rows can differ from the complex
@@ -180,9 +180,9 @@ def _position_block(w, weights, amplitudes, source, out, lo, hi):
 
 
 def _position_axes(state: TwoAtomState, orbital, samples_per_site):
-    """The grid axis x, the orbital matrix w[i, j] = w(x_i - j) on the
-    periodic box and the row-block bounds of the position grid.  Raises
-    GridError when the grid step exceeds a quarter of the orbital width."""
+    """The grid axis x and the orbital matrix w[i, j] = w(x_i - j) on the
+    periodic box.  Raises GridError when the grid step exceeds a quarter of
+    the orbital width."""
     n = state.n_sites
     step = 1.0 / samples_per_site
     sigma = orbital.sigma
@@ -193,8 +193,7 @@ def _position_axes(state: TwoAtomState, orbital, samples_per_site):
     x = np.arange(n * samples_per_site) * step
     sites = np.arange(n, dtype=float)
     dx = (x[:, None] - sites[None, :] + n / 2.0) % n - n / 2.0
-    bounds = np.linspace(0, len(x), -(-len(x) // _POSITION_BLOCK_ROWS) + 1).astype(int)
-    return x, orbital.at(dx), bounds
+    return x, orbital.at(dx)
 
 
 def _term_sources(state: TwoAtomState):
@@ -228,16 +227,17 @@ def _term_sources(state: TwoAtomState):
     return source
 
 
-def _fill_position_grid(state: TwoAtomState, w, bounds, out, jobs):
+def _fill_position_grid(state: TwoAtomState, w, out, jobs):
     """Compute the row blocks of the unnormalised grid into ``out`` on up
     to ``jobs`` threads."""
     source = _term_sources(state)
+    edges = _tile_edges(len(w))
 
     def block(lo, hi):
         _position_block(w, state.weights, state.amplitudes, source, out[lo:hi], lo, hi)
 
-    with ThreadPoolExecutor(max_workers=min(jobs, len(bounds) - 1)) as pool:
-        list(pool.map(block, bounds[:-1], bounds[1:]))  # re-raises failures
+    with ThreadPoolExecutor(max_workers=min(jobs, len(edges) - 1)) as pool:
+        list(pool.map(block, edges[:-1], edges[1:]))  # re-raises failures
 
 
 def _position_total(state: TwoAtomState, w):
@@ -267,15 +267,15 @@ def joint_position_density(
     an earlier member's, or their conjugate, with the same weight (the
     theta > 0 members of a thermal state) has that member's grid term, so
     the term is computed once and added at both places.  The grid is
-    evaluated in blocks of rows whose bounds depend only on the grid size,
+    evaluated in blocks of rows whose edges depend only on the grid size,
     on up to ``jobs`` threads; the result does not depend on ``jobs``.
     Raises GridError when the grid step exceeds a quarter of the orbital
     width.
     """
-    x, w, bounds = _position_axes(state, orbital, samples_per_site)
+    x, w = _position_axes(state, orbital, samples_per_site)
     step = 1.0 / samples_per_site
     dens = np.zeros((len(x), len(x)))
-    _fill_position_grid(state, w, bounds, dens, jobs)
+    _fill_position_grid(state, w, dens, jobs)
     dens /= dens.sum() * step * step
     return DistributionGrid(axis1=x, axis2=x.copy(), density=dens)
 
@@ -335,7 +335,7 @@ def conditional_position_density(
     relative and raises the same errors.  Dividing by the row's sum alone
     would change the .12g text of some subnormal values.
     """
-    x, w, _ = _position_axes(state, orbital, samples_per_site)
+    x, w = _position_axes(state, orbital, samples_per_site)
     step = 1.0 / samples_per_site
     r = _nearest_line(x, step, value)
     row = np.empty((1, len(x)))

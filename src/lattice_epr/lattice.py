@@ -248,12 +248,9 @@ class GaussianOrbital:
     sigma: float
 
     def at(self, dx):
-        """Amplitude at displacement dx from the center, 0 below 1e-150."""
+        """Amplitude at displacement dx from the center."""
         sigma = self.sigma
-        amp = (2.0 * math.pi * sigma**2) ** -0.25 * np.exp(-(dx**2) / (4.0 * sigma**2))
-        # A product of two orbital values of at least 1e-150 is a normal
-        # float, so no GEMM of the position grid runs on subnormals.
-        return np.where(amp < 1e-150, 0.0, amp)
+        return (2.0 * math.pi * sigma**2) ** -0.25 * np.exp(-(dx**2) / (4.0 * sigma**2))
 
     def momentum_at(self, p):
         """Fourier transform of the amplitude at momenta p (hbar/a), in the

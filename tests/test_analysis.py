@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -51,10 +50,19 @@ def _position_density_unblocked(state, orbital, samples_per_site):
     return dens / (dens.sum() * step * step)
 
 
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_position_density_matches_unblocked_loop(li_hopping, li_wannier, jobs):
-    # 20 sites x 32 samples: G = 640 rows, five row blocks
-    h = diatom.build_hamiltonian(20, li_hopping.v_hop, nearest_only_profile(-2.16))
+@pytest.mark.parametrize(
+    "n, jobs",
+    [
+        pytest.param(20, 1, id="1"),
+        pytest.param(20, 3, id="3"),
+        pytest.param(17, 1, id="17-1"),
+        pytest.param(17, 3, id="17-3"),
+    ],
+)
+def test_position_density_matches_unblocked_loop(li_hopping, li_wannier, n, jobs):
+    # 32 samples per site: G = 640 rows in five blocks of 128, or G = 544 in
+    # four of 128 and one of 32
+    h = diatom.build_hamiltonian(n, li_hopping.v_hop, nearest_only_profile(-2.16))
     state = diatom.thermal_diatom_state(diatom.diatom_band_exact(h), 0.01, sigma_e=2.0)
     assert len(state.weights) > 1
     grid = analysis.joint_position_density(state, li_wannier, 32, jobs=jobs)
@@ -63,7 +71,7 @@ def test_position_density_matches_unblocked_loop(li_hopping, li_wannier, jobs):
 
 
 def _position_density_full_products(state, orbital, samples_per_site):
-    """Reference: the row-block loop with full products, block bounds as in
+    """Reference: the row-block loop with full products, block edges as in
     joint_position_density."""
     n = state.n_sites
     step = 1.0 / samples_per_site
@@ -72,9 +80,9 @@ def _position_density_full_products(state, orbital, samples_per_site):
     dx = (x[:, None] - sites[None, :] + n / 2.0) % n - n / 2.0
     w = orbital.at(dx)
     g = len(x)
-    bounds = np.linspace(0, g, -(-g // analysis._POSITION_BLOCK_ROWS) + 1).astype(int)
+    edges = analysis._tile_edges(g)
     dens = np.empty((g, g))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in zip(edges[:-1], edges[1:]):
         acc = dens[lo:hi]
         acc[...] = 0.0
         buf = np.empty_like(acc)
@@ -95,7 +103,7 @@ def test_position_density_with_exact_zeros_equals_the_full_products(
     state = diatom.thermal_diatom_state(diatom.diatom_band_exact(h), 0.01, sigma_e=2.0)
     orb = li_wannier if orbital == "wannier" else lattice.GaussianOrbital(0.136)
     ref, has_zeros = _position_density_full_products(state, orb, 32)
-    # the Gaussian orbital is flushed to exact zeros beyond ~5 sites
+    # the Gaussian orbital underflows to exact zeros beyond ~7.4 sites
     assert has_zeros == (orbital == "gaussian")
     grid = analysis.joint_position_density(state, orb, 32, jobs=jobs)
     assert np.array_equal(grid.density, ref)
@@ -275,40 +283,14 @@ def _state_of_mode(li_hopping, n, mode):
     return diatom.thermal_diatom_state(band, 0.01, sigma_e=sigma_e)
 
 
-@dataclass(frozen=True)
-class _UnflushedGaussian:
-    """GaussianOrbital's closed form without its flush to 0 below 1e-150."""
-
-    sigma: float
-
-    def at(self, dx):
-        sigma = self.sigma
-        return (2.0 * math.pi * sigma**2) ** -0.25 * np.exp(-(dx**2) / (4.0 * sigma**2))
-
-
-@pytest.mark.parametrize("mode", ["ground", "envelope", "thermal"])
-@pytest.mark.parametrize("n", [8, 16, 17, 64])
-def test_position_density_flush_keeps_the_full_grid_slice(li_hopping, n, mode):
-    """The flushed Gaussian orbital's slice equals the unflushed full grid's, bit for bit."""
-    state = _state_of_mode(li_hopping, n, mode)
-    flushed, unflushed = lattice.GaussianOrbital(0.136), _UnflushedGaussian(0.136)
-    x = np.arange(n * 32) / 32
-    assert np.array_equal(flushed.at(x), np.where(unflushed.at(x) < 1e-150, 0.0, unflushed.at(x)))
-    x1 = float(n // 2)
-    ref = analysis.conditional_density(analysis.joint_position_density(state, unflushed, 32), x1)
-    got = analysis.conditional_density(analysis.joint_position_density(state, flushed, 32, 2), x1)
-    assert np.array_equal(got.x, ref.x)
-    assert np.array_equal(got.density, ref.density)
-
-
 @pytest.mark.parametrize("orbital", ["wannier", "gaussian"])
 @pytest.mark.parametrize("n", [16, 17])
 def test_position_block_one_row_equals_that_row_of_the_grid(li_hopping, li_wannier, n, orbital):
     state = _state_of_mode(li_hopping, n, "thermal")
     orb = li_wannier if orbital == "wannier" else lattice.GaussianOrbital(0.136)
-    x, w, bounds = analysis._position_axes(state, orb, 32)
+    x, w = analysis._position_axes(state, orb, 32)
     full = np.zeros((len(x), len(x)))
-    analysis._fill_position_grid(state, w, bounds, full, 1)
+    analysis._fill_position_grid(state, w, full, 1)
     rows = np.zeros_like(full)
     sources = analysis._term_sources(state)
     for r in (0, 1, 127, 128, 200, n * 16, len(x) - 1):
@@ -324,9 +306,9 @@ def test_position_block_one_row_equals_that_row_of_the_grid(li_hopping, li_wanni
 def test_position_total_equals_the_grid_sum(li_hopping, li_wannier, n, mode, orbital):
     state = _state_of_mode(li_hopping, n, mode)
     orb = li_wannier if orbital == "wannier" else lattice.GaussianOrbital(0.136)
-    x, w, bounds = analysis._position_axes(state, orb, 32)
+    x, w = analysis._position_axes(state, orb, 32)
     grid = np.zeros((len(x), len(x)))
-    analysis._fill_position_grid(state, w, bounds, grid, 2)
+    analysis._fill_position_grid(state, w, grid, 2)
     assert analysis._position_total(state, w) == pytest.approx(grid.sum(), rel=4e-15, abs=0)
 
 
@@ -350,7 +332,7 @@ def test_position_total_of_a_product_state_is_the_squared_gram_diagonal(li_wanni
     amplitudes = np.zeros((1, n, n), dtype=complex)
     amplitudes[0, j0, j0] = 1.0
     state = diatom.TwoAtomState(weights=np.ones(1), amplitudes=amplitudes)
-    x, w, _ = analysis._position_axes(state, li_wannier, 32)
+    x, w = analysis._position_axes(state, li_wannier, 32)
     gram = w.T @ w
     total = analysis._position_total(state, w)
     assert total == pytest.approx(gram[j0, j0] ** 2, rel=1e-15, abs=0)
@@ -368,7 +350,7 @@ def test_wannier_orbital_is_orthonormal_on_the_grid():
     n, samples_per_site = model.state.n_sites, 32
     overlaps = []
     for orb in (model.wannier0, lattice.GaussianOrbital(model.width.sigma)):
-        _, w, _ = analysis._position_axes(model.state, orb, samples_per_site)
+        _, w = analysis._position_axes(model.state, orb, samples_per_site)
         overlaps.append(w.T @ w / samples_per_site)
     wannier, gaussian = overlaps
     assert np.abs(wannier - np.eye(n)).max() <= 1e-14
@@ -391,7 +373,7 @@ def test_conditional_position_density_row_and_errors(li_hopping):
             analysis.conditional_density(grid, value)
         with pytest.raises(ConditioningError, match="outside the grid"):
             analysis.conditional_position_density(state, orb, 32, value)
-    # the flushed orbital is exactly 0 eight sites from the one occupied one
+    # the orbital underflows to exactly 0 eight sites from the one occupied one
     amplitudes = np.zeros((1, 16, 16), dtype=complex)
     amplitudes[0, 8, 8] = 1.0
     product = diatom.TwoAtomState(weights=np.ones(1), amplitudes=amplitudes)

@@ -149,6 +149,21 @@ def test_tsv_format(toy_scenario, tmp_path):
     assert "\t" in text.splitlines()[2]
 
 
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_tsv_tables_are_the_csv_tables_with_tabs(command, tmp_path):
+    path = tmp_path / "toy.ini"
+    path.write_text(TOY + "\n[sweep]\nparameter = state.T\nvalues = 5 nK, 10 nK\n")
+    runs = {}
+    for fmt in ("csv", "tsv"):
+        out = tmp_path / fmt
+        assert main([command, "--scenario", str(path), "--out", str(out), "--format", fmt]) == 0
+        runs[fmt] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert runs["csv"]
+    assert sorted(runs["tsv"]) == sorted(name[:-3] + "tsv" for name in runs["csv"])
+    for name, text in runs["csv"].items():
+        assert runs["tsv"][name[:-3] + "tsv"] == text.replace(b",", b"\t")
+
+
 def test_optimize_matches_grid_scan(tmp_path):
     out = tmp_path / "out"
     assert main(["optimize", "--scenario", "lithium-example", "--out", str(out)]) == 0
