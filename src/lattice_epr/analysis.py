@@ -6,10 +6,11 @@ momentum), the EPR strength parameter s = hbar / (2 dx dp), the closed-form
 preparation estimates, and the envelope-width optimizer.
 
 Internal units: lengths in a, momenta in hbar/a, energies in E_rec,
-temperatures as k_B T / E_rec.  Site centers are placed at integer x = j;
-peak widths follow one convention throughout: half-width at half-maximum of
-the dominant peak, converted to a Gaussian-equivalent sigma by dividing by
-sqrt(2 ln 2) = 1.1774 whenever compared against closed forms.
+temperatures as k_B T / E_rec.  Site centers are placed at integer x = j.
+The peak widths of peak_metrics and of folded_sum_momentum_width(...,
+"hwhm") are the half-width at half-maximum of the dominant peak, converted
+to a Gaussian-equivalent sigma by dividing by sqrt(2 ln 2) = 1.1774 when
+compared against closed forms.  No command writes a peak width.
 """
 
 from __future__ import annotations
@@ -76,9 +77,6 @@ class DistributionGrid:
     def d2(self):
         return float(self.axis2[1] - self.axis2[0])
 
-    def total(self):
-        return float(self.density.sum() * self.d1 * self.d2)
-
 
 @dataclass
 class Slice1D:
@@ -90,9 +88,6 @@ class Slice1D:
     @property
     def dx(self):
         return float(self.x[1] - self.x[0])
-
-    def total(self):
-        return float(self.density.sum() * self.dx)
 
 
 # ---------------------------------------------------------------------------

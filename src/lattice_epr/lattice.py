@@ -193,21 +193,17 @@ class WannierState:
     """Lowest-band Wannier orbital on the periodic real-space grid.
 
     ``x`` covers [0, N) in units of a; ``amplitude`` is real (Kohn gauge)
-    and the orbital is centered at ``center`` = site + 1/2.
+    and the orbital is centered at ``center``, its site + 1/2.
     """
 
     x: np.ndarray
     amplitude: np.ndarray
-    site: int
     center: float
     residual_imag: float = field(default=0.0)
 
     @property
     def dx(self):
         return float(self.x[1] - self.x[0])
-
-    def norm(self):
-        return float(np.sum(self.amplitude**2) * self.dx)
 
     def displacement_profile(self):
         """(dx_grid, amplitude) with the orbital rolled so its center maps
@@ -292,9 +288,7 @@ def wannier(spectrum: BlochSpectrum, site: int = 0) -> WannierState:
     ic = int(round((site + center0) * ppa)) % (n * ppa)
     if amp[ic] < 0:
         amp = -amp
-    return WannierState(
-        x=x, amplitude=amp, site=site, center=site + center0, residual_imag=resid
-    )
+    return WannierState(x=x, amplitude=amp, center=site + center0, residual_imag=resid)
 
 
 def lattice_matrix_element(cfg: LatticeConfig, w1: WannierState, w2: WannierState) -> float:

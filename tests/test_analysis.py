@@ -27,13 +27,13 @@ def small_ground(li_hopping):
 
 def test_position_density_normalizes(small_ground, li_wannier):
     grid = analysis.joint_position_density(small_ground, li_wannier, 32)
-    assert grid.total() == pytest.approx(1.0, abs=1e-6)
+    assert grid.density.sum() * grid.d1 * grid.d2 == pytest.approx(1.0, abs=1e-6)
     assert np.all(grid.density >= 0)
 
 
 def test_position_density_gaussian_orbital(small_ground):
     grid = analysis.joint_position_density(small_ground, lattice.GaussianOrbital(0.136), 32)
-    assert grid.total() == pytest.approx(1.0, abs=1e-6)
+    assert grid.density.sum() * grid.d1 * grid.d2 == pytest.approx(1.0, abs=1e-6)
 
 
 def _position_density_unblocked(state, orbital, samples_per_site):
@@ -391,7 +391,7 @@ def test_position_density_grid_guard(small_ground):
 
 def test_momentum_density_normalizes(small_ground, li_wannier):
     grid = analysis.joint_momentum_density(small_ground, li_wannier, zones=2)
-    assert grid.total() == pytest.approx(1.0, abs=1e-6)
+    assert grid.density.sum() * grid.d1 * grid.d2 == pytest.approx(1.0, abs=1e-6)
 
 
 def test_momentum_matches_fourier_transform_of_position_amplitude(
@@ -418,7 +418,7 @@ def test_momentum_matches_fourier_transform_of_position_amplitude(
 def test_marginals_normalize_and_match_direct_sum(small_ground, li_wannier):
     grid = analysis.joint_momentum_density(small_ground, li_wannier, zones=2)
     m = analysis.marginal(grid)
-    assert m.total() == pytest.approx(1.0, abs=1e-8)
+    assert m.density.sum() * m.dx == pytest.approx(1.0, abs=1e-8)
     direct = grid.density.sum(axis=0) * grid.d1
     assert np.allclose(m.density, direct, atol=1e-12)
 
@@ -426,7 +426,7 @@ def test_marginals_normalize_and_match_direct_sum(small_ground, li_wannier):
 def test_conditional_density(small_ground, li_wannier):
     grid = analysis.joint_position_density(small_ground, li_wannier, 32)
     sl = analysis.conditional_density(grid, 8.5)
-    assert sl.total() == pytest.approx(1.0, abs=1e-8)
+    assert sl.density.sum() * sl.dx == pytest.approx(1.0, abs=1e-8)
     # an off-grid x1 takes the nearest row
     assert np.array_equal(analysis.conditional_density(grid, 8.51).density, sl.density)
     assert not np.array_equal(analysis.conditional_density(grid, 8.54).density, sl.density)
@@ -444,7 +444,7 @@ def test_sum_momentum_marginal_registration():
     marg = analysis.sum_momentum_marginal(grid)
     i = int(np.argmax(marg.density))
     assert marg.x[i] == pytest.approx(0.0)
-    assert marg.total() == pytest.approx(1.0, abs=1e-12)
+    assert marg.density.sum() * marg.dx == pytest.approx(1.0, abs=1e-12)
 
 
 def test_peak_metrics_gaussian():

@@ -73,7 +73,7 @@ def test_hopping_approx_tracks_bandwidth(li_hopping):
 
 
 def test_wannier_is_normalized_real_and_localized(li_wannier):
-    assert li_wannier.norm() == pytest.approx(1.0, abs=1e-10)
+    assert np.sum(li_wannier.amplitude**2) * li_wannier.dx == pytest.approx(1.0, abs=1e-10)
     assert li_wannier.residual_imag < 1e-10
     dx, amp = li_wannier.displacement_profile()
     i0 = np.argmin(np.abs(dx))
