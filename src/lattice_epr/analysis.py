@@ -93,21 +93,22 @@ class Slice1D:
 # ---------------------------------------------------------------------------
 # joint densities
 
-# side of the position grid's tiles: _tile_edges cuts its rows into blocks
-# and each block's columns into tiles the same way.  A row of the grid does
-# not depend on the height of its block, so the edges set only the work per
-# thread and the memory per block.  A block holds the first products and one
-# tile term of every computed member: about 9 MiB for the 33 of
-# lithium-example at 128 x 128, where a side of 256 rows or columns raised
-# the command's peak RSS by about 18 MB.  A one-point remainder joins the
-# tile before it, because a one-column product takes BLAS's matrix-vector
-# path, which rounds differently.
-_POSITION_TILE = 128
+# rows per block and columns per tile of the position grid, both cut by
+# _tile_edges.  A row of the grid does not depend on the height of its block
+# or on the tiles, so the edges set only the work per thread and the memory
+# per block.  A block holds the first products and one tile term of every
+# computed member: about 6.5 MiB for the 33 of lithium-example at 64 x 256,
+# against 8.6 MiB at 128 x 128 with the same number of products; 64 x 128
+# held less but took about 10 % longer.  A one-point remainder joins the run
+# before it, because a one-column product takes BLAS's matrix-vector path,
+# which rounds differently.
+_POSITION_ROWS = 64
+_POSITION_COLUMNS = 256
 
 
-def _tile_edges(g):
-    """Row block and column tile edges of a grid of g >= 2 points."""
-    return np.append(np.arange(0, g - 1, _POSITION_TILE), g)
+def _tile_edges(g, side):
+    """Edges that cut g >= 2 points into runs of ``side`` points."""
+    return np.append(np.arange(0, g - 1, side), g)
 
 
 def _position_block(w, weights, amplitudes, source, out, lo, hi):
@@ -128,9 +129,8 @@ def _position_block(w, weights, amplitudes, source, out, lo, hi):
 
     The first products, left = w[lo:hi] c, are complex and are computed
     once per block.  The second one multiplies left by the real orbital, so
-    it is computed transposed, one column tile at a time (the tiles have
-    the edges that cut the grid's rows into blocks), as one real GEMM on
-    the interleaved (re, im) values of left^T; complex tiles would spend
+    it is computed transposed, one column tile at a time, as one real GEMM
+    on the interleaved (re, im) values of left^T; complex tiles would spend
     half their multiplies on the orbital's zero imaginary part.  The
     columns of left^T are padded with zeros to a multiple of 8: without the
     padding the last (hi - lo) mod 8 rows can differ from the complex
@@ -153,7 +153,7 @@ def _position_block(w, weights, amplitudes, source, out, lo, hi):
     height = hi - lo
     width = -(-height // 8) * 8
     rows = np.pad(w[lo:hi], ((0, width - height), (0, 0)))
-    edges = _tile_edges(g)
+    edges = _tile_edges(g, _POSITION_COLUMNS)
     computed = np.flatnonzero(source == np.arange(len(source)))
     slot = np.searchsorted(computed, source)  # member m adds terms[slot[m]]
     left_t = np.empty((len(computed), n, width), dtype=complex)
@@ -226,7 +226,7 @@ def _fill_position_grid(state: TwoAtomState, w, out, jobs):
     """Compute the row blocks of the unnormalised grid into ``out`` on up
     to ``jobs`` threads."""
     source = _term_sources(state)
-    edges = _tile_edges(len(w))
+    edges = _tile_edges(len(w), _POSITION_ROWS)
 
     def block(lo, hi):
         _position_block(w, state.weights, state.amplitudes, source, out[lo:hi], lo, hi)

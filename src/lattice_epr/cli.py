@@ -53,8 +53,11 @@ def _fmt(value):
 # per run as well as per byte.
 _MIN_EXP = -330     # decimal exponents -330 .. 330 index the tables
 # values formatted per block: a few MB per worker thread, and bounds that
-# depend only on the grid size
-_GRID_BLOCK_VALUES = 8192
+# depend only on the grid size.  At 8192 the threads queue for the GIL
+# between the ~45 small numpy calls of a block; at 32768 writing a
+# 1024 x 1024 grid on 2 threads peaks at about 12.7 MB, past the tests'
+# 8 MB budget.
+_GRID_BLOCK_VALUES = 16384
 
 
 def _words(chunks, width=8):
@@ -290,8 +293,14 @@ def _cmd_diatom(sc: Scenario, writer: _Writer, args):
 
 def _cmd_distributions(sc: Scenario, writer: _Writer, args):
     model = pipeline.Model(sc)
-    state = model.state
-    orbital = model.wannier0
+    model.spectrum  # both branches below read it, and a stage has no lock
+    # the orbital on a worker thread beside the pair state and the writer's
+    # tables; the state's error comes first, as it would serially
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        wannier0 = pool.submit(lambda: model.wannier0)
+        state = model.state
+        _g12_tables()
+        orbital = wannier0.result()
     pos = analysis.joint_position_density(state, orbital, sc.samples_per_site, jobs=writer.jobs)
     writer.table("position_joint." + args.format, ["x1", "x2", "density"], pos)
     j0 = sc.j0 if sc.j0 is not None else sc.n_sites // 2
@@ -424,8 +433,9 @@ def main(argv=None):
         "--jobs",
         type=_positive_int,
         default=None,
-        help="worker threads: sweep points, or distributions grid blocks "
-        "(default: one per CPU this process may run on)",
+        help="worker threads: sweep points, or the blocks of the distributions "
+        "position grid and its table, whose Wannier orbital is built on one "
+        "more thread (default: one per CPU this process may run on)",
     )
     parser.add_argument("--format", choices=("csv", "tsv"), default="csv")
     args = parser.parse_args(argv)

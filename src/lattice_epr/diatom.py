@@ -29,7 +29,7 @@ import numpy as np
 
 from .dipole import InteractionProfile
 from .errors import DomainError, RegimeError, SingularityError, SizeError
-from .lattice import cosine_band_fit, curvature_mass, effective_mass_single
+from .lattice import cosine_band_fit, curvature_mass, effective_mass_single, zone_grid
 
 __all__ = [
     "TwoAtomHamiltonian",
@@ -98,14 +98,6 @@ def build_hamiltonian(
         elif include_offsite:
             vdd[d] = profile.value(dw)
     return TwoAtomHamiltonian(n_sites=n_sites, v_hop=v_hop, vdd_diag=vdd)
-
-
-def _com_phases(n):
-    """Center-of-mass phases theta = 2 pi k / N, k = -ceil(N/2) .. N//2 - 1,
-    and mirror[i], the row of -theta if theta > 0, else i."""
-    k = np.arange(-n // 2, n // 2)
-    mirror = np.where(k > 0, (n + 1) // 2 - k, np.arange(n))
-    return 2.0 * np.pi * k / n, mirror
 
 
 def dense_spectrum(h: TwoAtomHamiltonian) -> np.ndarray:
@@ -212,7 +204,7 @@ def diatom_band_exact(h: TwoAtomHamiltonian) -> DiatomBand:
 
     Each bound-branch vector is in the gauge where its largest-magnitude
     component is real positive.  Only the rows that are their own mirror
-    (see _com_phases) are solved: N/2 + 1 for even N, 33 of 64 on
+    (see lattice.zone_grid) are solved: N/2 + 1 for even N, 33 of 64 on
     lithium-example.  The block at theta > 0 is the conjugate of the block
     at -theta, so its row copies the eigenvalues of its mirror row and the
     conjugate of its bound vector, which LAPACK's zheevd is observed to
@@ -221,7 +213,7 @@ def diatom_band_exact(h: TwoAtomHamiltonian) -> DiatomBand:
     read-only.
     """
     n = h.n_sites
-    thetas, mirror = _com_phases(n)
+    thetas, mirror = zone_grid(n)
     spectra = np.empty((n, n))
     vectors = np.empty((n, n), dtype=complex)
     paired = mirror != np.arange(n)

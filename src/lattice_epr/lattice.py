@@ -27,6 +27,7 @@ __all__ = [
     "HoppingResult",
     "HoppingEstimate",
     "WannierWidth",
+    "zone_grid",
     "band_structure",
     "require_band_gap",
     "cosine_band_fit",
@@ -88,6 +89,19 @@ def _bloch_matrix(q, u0, cutoff):
     return h
 
 
+def zone_grid(n):
+    """Phases 2 pi k / N, k = -ceil(N/2) .. N//2 - 1, of the Brillouin zone
+    of an N-site ring, and mirror[i], the index of -k where k > 0, else i.
+
+    The index of -k is (N + 1)//2 - k, which is N - i only for even N.
+    -N/2 has no mirror for even N, nor have -(N + 1)/2 and -(N - 1)/2 for
+    odd N.
+    """
+    k = np.arange(-n // 2, n // 2)
+    mirror = np.where(k > 0, (n + 1) // 2 - k, np.arange(n))
+    return 2.0 * np.pi * k / n, mirror
+
+
 def band_structure(cfg: LatticeConfig) -> BlochSpectrum:
     """Diagonalize the plane-wave lattice Hamiltonian on the full q grid and
     keep its three lowest bands' energies and the lowest band's coefficients.
@@ -97,7 +111,7 @@ def band_structure(cfg: LatticeConfig) -> BlochSpectrum:
     """
     n = cfg.n_sites
     m = cfg.cutoff
-    q = 2.0 * np.pi * np.arange(-n // 2, n // 2) / n
+    q, _ = zone_grid(n)
     energies = np.empty((n, 3))
     coeffs = np.empty((n, 2 * m + 1))
     for i, qi in enumerate(q):
@@ -261,6 +275,12 @@ def wannier(spectrum: BlochSpectrum, site: int = 0) -> WannierState:
     Bloch phases are fixed so that each Bloch function is real and positive
     at the well center of site 0, which makes the Wannier orbital real and
     symmetric about its center.
+
+    The plane waves exp(i x (q + 2 pi s)) of -q are the conjugates of those
+    of q in reverse order of s, exactly but for the signs of zeros, so the
+    table of each q < 0 with a mirror gives its mirror's as well.  The
+    mirror's Bloch function is held until its turn, so the orbital is
+    summed in the order of q.
     """
     cfg = spectrum.config
     require_band_gap(spectrum)
@@ -270,12 +290,23 @@ def wannier(spectrum: BlochSpectrum, site: int = 0) -> WannierState:
     x = np.arange(n * ppa) / ppa
     s = np.arange(-m, m + 1)
     center0 = 0.5
+    _, mirror = zone_grid(n)
+    partner = {j: i for i, j in enumerate(mirror.tolist()) if j != i}  # -q -> q
+    held = {}
+    mirrored = np.empty((len(x), len(s)), dtype=complex)
     w = np.zeros(n * ppa, dtype=complex)
     for i, qi in enumerate(spectrum.q):
         c = spectrum.coefficients[i]
         # Bloch function on the grid and its value at the site-0 well center
-        phases = np.exp(1j * np.outer(x, qi + 2.0 * np.pi * s))
-        phi = phases @ c
+        phi = held.pop(i, None)
+        if phi is None:
+            phases = 1j * np.outer(x, qi + 2.0 * np.pi * s)
+            np.exp(phases, out=phases)
+            phi = phases @ c
+            if i in partner:
+                j = partner[i]
+                np.conjugate(phases[:, ::-1], out=mirrored)
+                held[j] = mirrored @ spectrum.coefficients[j]
         at_center = np.exp(1j * center0 * (qi + 2.0 * np.pi * s)) @ c
         if abs(at_center) < 1e-12:
             raise DegenerateBandError("Bloch function vanishes at the well center")

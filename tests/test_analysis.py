@@ -60,8 +60,15 @@ def _position_density_unblocked(state, orbital, samples_per_site):
     ],
 )
 def test_position_density_matches_unblocked_loop(li_hopping, li_wannier, n, jobs):
-    # 32 samples per site: G = 640 rows in five blocks of 128, or G = 544 in
-    # four of 128 and one of 32
+    # 32 samples per site: G = 640 in ten row blocks of 64 and column tiles
+    # of 256, 256 and 128, or G = 544, whose row blocks and column tiles
+    # both end in a remainder of 32
+    rows = np.diff(analysis._tile_edges(32 * n, analysis._POSITION_ROWS)).tolist()
+    columns = np.diff(analysis._tile_edges(32 * n, analysis._POSITION_COLUMNS)).tolist()
+    assert (rows, columns) == {
+        20: ([64] * 10, [256, 256, 128]),
+        17: ([64] * 8 + [32], [256, 256, 32]),
+    }[n]
     h = diatom.build_hamiltonian(n, li_hopping.v_hop, nearest_only_profile(-2.16))
     state = diatom.thermal_diatom_state(diatom.diatom_band_exact(h), 0.01, sigma_e=2.0)
     assert len(state.weights) > 1
@@ -71,8 +78,9 @@ def test_position_density_matches_unblocked_loop(li_hopping, li_wannier, n, jobs
 
 
 def _position_density_full_products(state, orbital, samples_per_site):
-    """Reference: the row-block loop with full products, block edges as in
-    joint_position_density."""
+    """Reference: the row-block loop with full products, row blocks as in
+    joint_position_density; the products span every column, so the grid's
+    column tiles must not change a bit."""
     n = state.n_sites
     step = 1.0 / samples_per_site
     x = np.arange(n * samples_per_site) * step
@@ -80,7 +88,7 @@ def _position_density_full_products(state, orbital, samples_per_site):
     dx = (x[:, None] - sites[None, :] + n / 2.0) % n - n / 2.0
     w = orbital.at(dx)
     g = len(x)
-    edges = analysis._tile_edges(g)
+    edges = analysis._tile_edges(g, analysis._POSITION_ROWS)
     dens = np.empty((g, g))
     for lo, hi in zip(edges[:-1], edges[1:]):
         acc = dens[lo:hi]
@@ -218,9 +226,9 @@ def _block_reference(w, weights, amplitudes, lo, hi):
 @pytest.mark.parametrize(
     "g, n, lo, hi",
     [
-        (297, 9, 0, 149),     # 297 = 2 * 128 + 41: a remainder tile
+        (297, 9, 0, 149),     # 297 = 256 + 41: a remainder tile
         (297, 9, 149, 297),
-        (513, 9, 0, 213),     # 513 = 4 * 128 + 1: a one-column remainder
+        (513, 9, 0, 213),     # 513 = 2 * 256 + 1: a one-column remainder
         (513, 9, 213, 427),
         (527, 17, 213, 427),
         (640, 20, 0, 213),

@@ -583,7 +583,7 @@ def test_grid_table_leaves_only_ties_and_special_values_to_format(tmp_path, monk
 
 
 # traced peak of writing a grid table: a few blocks of rows in flight, so it
-# does not grow with the number of rows (about 5 MB at 1024 x 1024)
+# does not grow with the number of rows (about 7 MB at 1024 x 1024)
 GRID_WRITE_BUDGET_BYTES = 8_000_000
 
 

@@ -328,7 +328,7 @@ def test_thermal_state_pairs_each_theta_with_minus_theta(li_chains, sigma_e, n):
     h = diatom.build_hamiltonian(n, v_hops[1], profile)
     band = diatom.diatom_band_exact(h)
     state = diatom.thermal_diatom_state(band, 0.01, sigma_e=sigma_e)
-    thetas, mirror = diatom._com_phases(n)
+    thetas, mirror = lattice.zone_grid(n)
     assert np.array_equal(thetas, band.thetas)
     paired = np.flatnonzero(mirror != np.arange(n))
     assert len(paired) == (n // 2 - 1 if n % 2 == 0 else (n - 3) // 2)

@@ -99,6 +99,55 @@ def test_neighboring_wanniers_are_orthonormal(li_spectrum):
     assert abs(overlap) < 1e-10
 
 
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 64])
+def test_zone_grid_mirror_maps_each_phase_to_its_negative(n):
+    q, mirror = lattice.zone_grid(n)
+    k = np.arange(-n // 2, n // 2)
+    assert np.array_equal(q, 2.0 * np.pi * k / n)
+    paired = mirror != np.arange(n)
+    assert np.array_equal(paired, k > 0)
+    assert np.array_equal(q[mirror[paired]], -q[paired])
+    # k <= 0 maps to itself; each k > 0 maps to -k, so every k < 0 is some
+    # k's mirror but -N/2 for even N and -(N + 1)/2, -(N - 1)/2 for odd N
+    assert np.array_equal(mirror[~paired], np.flatnonzero(~paired))
+    no_mirror = np.setdiff1d(np.flatnonzero(k < 0), mirror[paired])
+    assert k[no_mirror].tolist() == ([-n // 2] if n % 2 == 0 else [-n // 2, -n // 2 + 1])
+    assert np.array_equal(lattice.band_structure(lattice.LatticeConfig(7.42, n_sites=n)).q, q)
+
+
+def _wannier_per_q(spectrum, site):
+    """Reference: one plane-wave table per q, each Bloch function built
+    from its own table."""
+    cfg = spectrum.config
+    n, ppa, m = cfg.n_sites, cfg.samples_per_site, cfg.cutoff
+    x = np.arange(n * ppa) / ppa
+    s = np.arange(-m, m + 1)
+    w = np.zeros(n * ppa, dtype=complex)
+    for qi, c in zip(spectrum.q, spectrum.coefficients):
+        phi = np.exp(1j * np.outer(x, qi + 2.0 * np.pi * s)) @ c
+        at_center = np.exp(1j * 0.5 * (qi + 2.0 * np.pi * s)) @ c
+        phi *= abs(at_center) / at_center
+        w += np.exp(-1j * qi * site) * phi
+    resid = float(np.max(np.abs(w.imag)) / np.max(np.abs(w)))
+    amp = w.real
+    amp /= math.sqrt(np.sum(amp**2) / ppa)
+    if amp[int(round((site + 0.5) * ppa)) % (n * ppa)] < 0:
+        amp = -amp
+    return amp, resid
+
+
+@pytest.mark.parametrize("site", [0, 1])
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 64])
+def test_wannier_equals_one_table_per_q_bit_for_bit(n, site):
+    # the tables of -q come from those of q; at odd N the most negative q
+    # has no mirror, and a mirror index of N - i builds a wrong orbital
+    spectrum = lattice.band_structure(lattice.LatticeConfig(u0=7.42, n_sites=n))
+    orbital = lattice.wannier(spectrum, site)
+    amp, resid = _wannier_per_q(spectrum, site)
+    assert np.array_equal(orbital.amplitude.view(np.uint64), amp.view(np.uint64))
+    assert orbital.residual_imag == resid
+
+
 def test_hopping_matches_wannier_matrix_element(li_spectrum, li_hopping):
     cfg = li_spectrum.config
     w0 = lattice.wannier(li_spectrum, 0)

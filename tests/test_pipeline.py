@@ -6,6 +6,7 @@ point."""
 import hashlib
 import re
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -21,6 +22,7 @@ SCENARIOS = {
     "toy": TOY,
     "toy16": TOY16,
     "toy16_envelope": TOY16.replace("mode = thermal", "mode = envelope"),
+    "toy17": TOY16.replace("sites = 16", "sites = 17"),
     "lithium": LITHIUM_EXAMPLE,
 }
 
@@ -111,6 +113,21 @@ TABLE_SHA256 = {
         "position_joint.csv": "e7b9e34048b02aae3415ce26eca914cc4edac27b84f92b3f1c923a891f57b271",
         "position_slice.csv": "cee92bba4321a54bd4f8403e1f54c0fb7ceab2af982900ef0958ed600fcb9a8c",
         "sum_momentum.csv": "a24b579f0f844e3b6ba4b0a1c5ecb70c518e581f854b57f2a281fefbccdec49a",
+    },
+    # an odd ring, whose most negative two phases have no mirror: recorded
+    # while the orbital still built one plane-wave table per q
+    ("toy17", "bands"): {
+        "bands.csv": "c156a569ff3429f303d6e6f7b3ca935c322683ac0f25ce7eb3d1d4bea72ec000",
+        "lattice_summary.csv": "cf61445c99b32308e142e27fbc71be0390904cc3b86e639a10d352c4da190e3d",
+        "wannier.csv": "c4e8d58bbcd929436fed653f738633f57086a76008cf0dee2f992d479ce24b39",
+    },
+    ("toy17", "distributions"): {
+        "momentum_joint.csv": "095f58f7daf92c0819614a365b39989ad8def43c03e11ee141c9f7f562d768b9",
+        "momentum_marginal.csv": "222d68107ad40d6596f7f2a831a24243d7bdb0971281492f3bf4327668625cf9",
+        "momentum_slice.csv": "3cd0d4377a9b356149a9f8c4d2f4cb54c9589c3c9ce0b564cdfb73e03303da14",
+        "position_joint.csv": "92b01786234221ace08bb5b114272705a897e539a6b9a2323463afd0e6655975",
+        "position_slice.csv": "c9fa6943934154dede25f89d2c157986f03214ac6a6d73d48fb3351cfdd31495",
+        "sum_momentum.csv": "556d80957d256a87d936ef97873da4e6f347e831987dceb01c64bd1bf98b1220",
     },
 }
 
@@ -265,6 +282,49 @@ def test_thermal_distributions_solve_each_block_once(tmp_path, monkeypatch):
     rc, _ = run("distributions", text, tmp_path, "--jobs", "1")
     assert rc == 0
     assert len(calls) == 5  # the phases theta <= 0 of 8 sites, one block each
+
+
+def test_distributions_prints_the_state_error_when_the_orbital_fails_too(
+    tmp_path, monkeypatch, capsys
+):
+    # the orbital, built beside the state, fails first; the state's error is
+    # the one printed, as when the two were built one after the other
+    orbital_failed = threading.Event()
+
+    def failing_wannier(*args, **kwargs):
+        orbital_failed.set()
+        raise DegenerateBandError("the orbital was built")
+
+    def failing_state(self):
+        assert orbital_failed.wait(timeout=30)
+        raise SingularityError("the state was built")
+
+    monkeypatch.setattr(lattice, "wannier", failing_wannier)
+    monkeypatch.setattr(pipeline.Model, "state", property(failing_state))
+    rc, out = run("distributions", TOY16, tmp_path, "--jobs", "2")
+    assert rc == 1
+    assert capsys.readouterr().err == "error: the state was built\n"
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_distributions_builds_band_orbital_and_pair_band_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(module, name):
+        build = getattr(module, name)
+
+        def count(*args, **kwargs):
+            calls.append(name)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, count)
+
+    counted(lattice, "band_structure")
+    counted(lattice, "wannier")
+    counted(diatom, "diatom_band_exact")
+    rc, _ = run("distributions", TOY16, tmp_path, "--jobs", "2")
+    assert rc == 0
+    assert sorted(calls) == ["band_structure", "diatom_band_exact", "wannier"]
 
 
 SWEEP_VALUES = {
