@@ -181,7 +181,6 @@ class Scenario:
 
     species: AtomSpecies
     units: UnitSystem
-    lambda_lattice: float                 # m
     u0: float                             # E_rec
     n_sites: int
     cutoff: int
@@ -323,7 +322,6 @@ def _parse(text):
     fields = dict(species=species, units=units, sha256=hashlib.sha256(text.encode()).hexdigest())
     for section in ("lattice", "coupling", "state", "analysis", "sweep"):
         fields.update(_read(cp, section, units))
-    fields["lambda_lattice"] = units.lambda_lattice
     fields["lambda_coupling"] = fields["lambda_coupling"] or species.lambda_coupling
 
     laser = _laser(fields, "lattice", "U0", units.lambda_lattice)

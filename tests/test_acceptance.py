@@ -131,7 +131,7 @@ def test_distribution_normalizations(li_ground_32, li_wannier):
     for grid in (pos, mom):
         assert grid.density.sum() * grid.d1 * grid.d2 == pytest.approx(1.0, abs=1e-6)
         marg = analysis.marginal(grid)
-        assert marg.density.sum() * marg.dx == pytest.approx(1.0, abs=1e-6)
+        assert marg.density.sum() * (marg.x[1] - marg.x[0]) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fourier_consistency(li_ground_32, li_wannier):

@@ -159,11 +159,10 @@ def test_position_density_does_not_reuse_a_member_one_bit_off(li_hopping, li_wan
     assert np.array_equal(grid.density, ref)
 
 
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_position_density_reuses_members_equal_up_to_zero_signs(li_hopping, li_wannier, jobs):
-    # a member with exact zeros, its conjugate (whose zeros have imaginary
-    # part -0) and a copy whose zeros are -0 - 0i are one term; a member
-    # with other amplitudes is computed
+def _zero_sign_state(li_hopping):
+    """A member with exact zeros, its conjugate (whose zeros have imaginary
+    part -0), a copy whose zeros are -0 - 0i, and a member with other
+    amplitudes."""
     c = _thermal_state(li_hopping, 16, 2.0).amplitudes[9].copy()
     zeros = np.abs(c) < 1e-3
     c[zeros] = 0.0
@@ -172,14 +171,77 @@ def test_position_density_reuses_members_equal_up_to_zero_signs(li_hopping, li_w
     negative_zeros[zeros] = complex(-0.0, -0.0)
     assert zeros.any() and np.signbit(c.conj().imag[zeros]).all()
     other = np.eye(16, dtype=complex) / 4.0
-    state = diatom.TwoAtomState(
+    return diatom.TwoAtomState(
         weights=np.array([0.3, 0.3, 0.3, 0.1]),
         amplitudes=np.stack([c, c.conj(), negative_zeros, other]),
     )
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_position_density_reuses_members_equal_up_to_zero_signs(li_hopping, li_wannier, jobs):
+    # the first three members are one term; the fourth is computed
+    state = _zero_sign_state(li_hopping)
     assert np.array_equal(analysis._term_sources(state), [0, 0, 0, 3])
     ref, _ = _position_density_full_products(state, li_wannier, 32)
     grid = analysis.joint_position_density(state, li_wannier, 32, jobs=jobs)
     assert np.array_equal(grid.density, ref)
+
+
+def _term_sources_by_definition(state):
+    """source[m] from its definition, in O(M^2): the first earlier member
+    that is its own source, has m's weight, and whose amplitudes equal m's
+    or their conjugate, else m."""
+    weights, amplitudes = state.weights, state.amplitudes
+    source = np.arange(len(weights))
+    for m, c in enumerate(amplitudes):
+        for p in range(m):
+            if source[p] == p and weights[p] == weights[m] and (
+                np.array_equal(amplitudes[p], c) or np.array_equal(amplitudes[p], c.conj())
+            ):
+                source[m] = p
+                break
+    return source
+
+
+@pytest.mark.parametrize("sigma_e", [None, 2.0])
+@pytest.mark.parametrize("n", [16, 17, 64])
+def test_term_sources_follow_their_definition_on_thermal_states(li_hopping, n, sigma_e):
+    state = _thermal_state(li_hopping, n, sigma_e)
+    assert np.array_equal(analysis._term_sources(state), _term_sources_by_definition(state))
+
+
+@pytest.mark.parametrize("case", ["ground", "envelope", "zero-signs"])
+def test_term_sources_follow_their_definition_on_other_states(li_hopping, case):
+    if case == "zero-signs":
+        state = _zero_sign_state(li_hopping)
+    else:
+        state = _state_of_mode(li_hopping, 16, case)
+    assert np.array_equal(analysis._term_sources(state), _term_sources_by_definition(state))
+
+
+def test_term_sources_tell_apart_members_that_share_a_key(li_hopping, li_wannier):
+    # c and i c have one weight and the same moduli, and neither is the
+    # other or its conjugate, so both are computed
+    c = _thermal_state(li_hopping, 16, 2.0).amplitudes[9]
+    state = diatom.TwoAtomState(weights=np.array([0.5, 0.5]), amplitudes=np.stack([c, 1j * c]))
+    assert np.abs(1j * c).sum() == np.abs(c).sum()
+    assert np.array_equal(analysis._term_sources(state), [0, 1])
+    assert np.array_equal(_term_sources_by_definition(state), [0, 1])
+    ref, _ = _position_density_full_products(state, li_wannier, 32)
+    grid = analysis.joint_position_density(state, li_wannier, 32)
+    assert np.array_equal(grid.density, ref)
+
+
+def test_term_sources_pair_the_members_of_one_weight(li_hopping):
+    # so hot that all 16 weights are equal: the +-theta pairs are found
+    # among them
+    h = diatom.build_hamiltonian(16, li_hopping.v_hop, nearest_only_profile(-2.16))
+    band = diatom.diatom_band_exact(h)
+    state = diatom.thermal_diatom_state(band, 1e18)
+    assert (state.weights == state.weights[0]).all()
+    sources = analysis._term_sources(state)
+    assert np.array_equal(sources, _term_sources_by_definition(state))
+    assert np.array_equal(sources, lattice.zone_grid(16)[1])
 
 
 def _ring_distance(a, b, n):
@@ -426,7 +488,7 @@ def test_momentum_matches_fourier_transform_of_position_amplitude(
 def test_marginals_normalize_and_match_direct_sum(small_ground, li_wannier):
     grid = analysis.joint_momentum_density(small_ground, li_wannier, zones=2)
     m = analysis.marginal(grid)
-    assert m.density.sum() * m.dx == pytest.approx(1.0, abs=1e-8)
+    assert m.density.sum() * (m.x[1] - m.x[0]) == pytest.approx(1.0, abs=1e-8)
     direct = grid.density.sum(axis=0) * grid.d1
     assert np.allclose(m.density, direct, atol=1e-12)
 
@@ -434,7 +496,7 @@ def test_marginals_normalize_and_match_direct_sum(small_ground, li_wannier):
 def test_conditional_density(small_ground, li_wannier):
     grid = analysis.joint_position_density(small_ground, li_wannier, 32)
     sl = analysis.conditional_density(grid, 8.5)
-    assert sl.density.sum() * sl.dx == pytest.approx(1.0, abs=1e-8)
+    assert sl.density.sum() * (sl.x[1] - sl.x[0]) == pytest.approx(1.0, abs=1e-8)
     # an off-grid x1 takes the nearest row
     assert np.array_equal(analysis.conditional_density(grid, 8.51).density, sl.density)
     assert not np.array_equal(analysis.conditional_density(grid, 8.54).density, sl.density)
@@ -452,7 +514,7 @@ def test_sum_momentum_marginal_registration():
     marg = analysis.sum_momentum_marginal(grid)
     i = int(np.argmax(marg.density))
     assert marg.x[i] == pytest.approx(0.0)
-    assert marg.density.sum() * marg.dx == pytest.approx(1.0, abs=1e-12)
+    assert marg.density.sum() * (marg.x[1] - marg.x[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_peak_metrics_gaussian():

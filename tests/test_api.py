@@ -57,15 +57,19 @@ def _unreached(sources):
     ``__all__``), and each class's methods, properties and annotated
     fields; a dunder method is part of its class.  A reached node reaches,
     by name, the module-level nodes of every name and attribute it loads,
-    and the class members of every attribute it loads; names are not
-    resolved through imports.  A reached class reads its decorators, bases,
-    dunder methods and field defaults, and a reached assignment its value.
+    and the class members of every attribute it loads, except that
+    ``self.<name>`` in a method of class C, dunder methods included, reaches
+    only C's own member ``<name>`` besides the module-level nodes; names are
+    not resolved through imports.  A reached class reads its decorators,
+    bases, dunder methods and field defaults, and a reached assignment its
+    value.
     A member of an unreached class is not listed: its class covers it.
     """
     reads = {}                     # node -> the trees it reads when reached
     by_name = defaultdict(list)    # module-level name -> its nodes
     by_attr = defaultdict(list)    # class member name -> its nodes
     owner = {}
+    method_of = {}                 # method tree -> its class, for self.<name>
     for module, text in sources.items():
         for stmt in ast.parse(text).body:
             if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
@@ -88,6 +92,7 @@ def _unreached(sources):
                             reads[cls].append(item.value)
                         name, trees = item.target.id, []
                     elif isinstance(item, ast.FunctionDef):
+                        method_of[item] = cls
                         if item.name.startswith("__") and item.name.endswith("__"):
                             reads[cls].append(item)
                             continue
@@ -106,11 +111,15 @@ def _unreached(sources):
             continue
         reached.add(node)
         for tree in reads[node]:
+            cls = method_of.get(tree)
             for sub in ast.walk(tree):
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                     todo += by_name[sub.id]
                 elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-                    todo += by_name[sub.attr] + by_attr[sub.attr]
+                    members = by_attr[sub.attr]
+                    if cls and isinstance(sub.value, ast.Name) and sub.value.id == "self":
+                        members = [m for m in members if owner[m] == cls]
+                    todo += by_name[sub.attr] + members
     unreached = reads.keys() - reached
     return {node for node in unreached if owner.get(node) not in unreached}
 
@@ -151,6 +160,9 @@ def test_the_cli_reaches_all_but_the_test_only_code():
     assert _unreached(_sources()) == set(TEST_ONLY)
 
 
+SLICE_FIELDS = "    x: np.ndarray\n    density: np.ndarray\n"
+
+
 @pytest.mark.parametrize(
     "module, old, new, dropped",
     [
@@ -158,8 +170,16 @@ def test_the_cli_reaches_all_but_the_test_only_code():
         ("cli", "analysis.marginal(mom)", "mom", "analysis.marginal"),
         # a dataclass field no longer read
         ("pipeline", "m.band.gap_min", "0.0", "diatom.DiatomBand.gap_min"),
+        # a property that only another class's self.dx would read
+        (
+            "analysis",
+            SLICE_FIELDS,
+            SLICE_FIELDS
+            + "\n    @property\n    def dx(self):\n        return float(self.x[1] - self.x[0])\n",
+            "analysis.Slice1D.dx",
+        ),
     ],
-    ids=["marginal", "gap_min"],
+    ids=["marginal", "gap_min", "dx"],
 )
 def test_the_walk_reports_code_that_loses_its_last_reader(module, old, new, dropped):
     sources = _sources()

@@ -335,7 +335,7 @@ def test_species_and_lattice_wavelengths_take_si_lengths_only():
     with pytest.raises(ScenarioError, match="wavelength"):
         make(MINIMAL.replace("U0 = 7.42 Erec", "U0 = 7.42 Erec\nlambda_L = 2 a"))
     sc = make(MINIMAL.replace("U0 = 7.42 Erec", "U0 = 7.42 Erec\nlambda_L = 0.4 um"))
-    assert sc.lambda_lattice == pytest.approx(4e-7) and sc.units.a == pytest.approx(2e-7)
+    assert sc.units.lambda_lattice == pytest.approx(4e-7) and sc.units.a == pytest.approx(2e-7)
 
 
 @pytest.mark.parametrize(
