@@ -189,8 +189,6 @@ class _Writer:
     def _grid(self, fh, grid):
         """Format blocks of grid rows on worker threads; write them in order."""
         rows, cols = grid.density.shape
-        if not rows or not cols:
-            return
         d = self.delimiter
         heads = [_fmt(x1).encode() for x1 in grid.axis1.tolist()]
         middles = [(d + _fmt(x2) + d).encode() for x2 in grid.axis2.tolist()]

@@ -18,7 +18,6 @@ from .constants import C_LIGHT, EPSILON_0, HBAR
 from .errors import DomainError, SingularityError
 
 __all__ = [
-    "DipoleCoupling",
     "InteractionProfile",
     "f_theta",
     "coupling_scale",
@@ -77,29 +76,6 @@ def v_dd_nearest(v_c, lambda_c, l):
     return -v_c * (lambda_c / l) ** 3 / (4.0 * math.pi**3)
 
 
-@dataclass(frozen=True)
-class DipoleCoupling:
-    """Coupling-laser parameters for the site-pair interaction profile.
-
-    ``v_c`` in the caller's energy unit (E_rec internally), lengths in a
-    shared unit (SI internally).
-    """
-
-    v_c: float
-    lambda_c: float
-    displacement: float     # tube offset l
-
-    def __post_init__(self):
-        if self.v_c < 0:
-            raise DomainError("coupling scale V_C must be non-negative")
-        if self.lambda_c <= 0 or self.displacement <= 0:
-            raise DomainError("lengths must be positive")
-
-    @property
-    def wavevector(self):
-        return 2.0 * math.pi / self.lambda_c
-
-
 @dataclass
 class InteractionProfile:
     """V_dd versus site offset dj between the tubes (mirror symmetric)."""
@@ -121,19 +97,29 @@ class InteractionProfile:
         return float(self.values[dj])
 
 
-def interaction_profile(coupling: DipoleCoupling, a, dj_max: int = 4) -> InteractionProfile:
-    """Evaluate V_dd(dj) = -V_C F_theta(k R(dj)) for dj = 0 .. dj_max."""
+def interaction_profile(v_c, lambda_c, displacement, a, dj_max: int = 4) -> InteractionProfile:
+    """Evaluate V_dd(dj) = -V_C F_theta(k R(dj)) for dj = 0 .. dj_max, with
+    k = 2 pi / lambda_C and R(dj) = sqrt(l^2 + (dj a)^2).
+
+    ``v_c`` is in the caller's energy unit (E_rec internally), which the
+    values take; ``lambda_c``, the tube displacement l and the lattice
+    constant ``a`` share a length unit (SI internally), which the
+    separations take.  Raises DomainError for V_C < 0, lambda_C <= 0 or
+    l <= 0, dj_max < 1 and a <= 0, in that order.
+    """
+    if v_c < 0:
+        raise DomainError("coupling scale V_C must be non-negative")
+    if lambda_c <= 0 or displacement <= 0:
+        raise DomainError("lengths must be positive")
     if dj_max < 1:
         raise DomainError("dj_max must be at least 1")
     if a <= 0:
         raise DomainError("lattice constant must be positive")
-    k = coupling.wavevector
+    k = 2.0 * math.pi / lambda_c
     dj = np.arange(dj_max + 1)
-    r = np.hypot(coupling.displacement, dj * a)
+    r = np.hypot(displacement, dj * a)
     theta = np.arccos(dj * a / r)
-    values = np.array(
-        [-coupling.v_c * f_theta(k * ri, ti) for ri, ti in zip(r, theta)]
-    )
+    values = np.array([-v_c * f_theta(k * ri, ti) for ri, ti in zip(r, theta)])
     return InteractionProfile(offsets=dj, separations=r, angles=theta, values=values)
 
 
@@ -150,13 +136,18 @@ def coupling_for_nearest_value(v_dd0, lambda_c, displacement, a):
 
     Used when a scenario pins the nearest-site interaction energy directly
     instead of specifying the coupling-laser chain.  ``v_dd0`` must be
-    negative (attractive nearest-site minimum).
+    negative (attractive nearest-site minimum), and so must the unit-V_C
+    kernel at dj = 0, since V_C >= 0: it is positive where the tube
+    displacement l is too large a share of lambda_C (300 nm at 670.8 nm).
+    Raises SingularityError for a vanishing or non-finite kernel and
+    DomainError for a positive one.
     """
     if v_dd0 >= 0:
         raise DomainError("nearest-site dipole-dipole energy must be negative")
-    unit = DipoleCoupling(v_c=1.0, lambda_c=lambda_c, displacement=displacement)
     with np.errstate(all="ignore"):  # a vanishing or non-finite kernel fails below
-        base = interaction_profile(unit, a, dj_max=1).value(0)
+        base = interaction_profile(1.0, lambda_c, displacement, a, dj_max=1).value(0)
     if base == 0 or not math.isfinite(base):
         raise SingularityError(f"nearest-site kernel is {base} at this tube displacement")
+    if base > 0:
+        raise DomainError(f"nearest-site kernel is {base} at this tube displacement")
     return v_dd0 / base

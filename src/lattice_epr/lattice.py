@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateBandError, DomainError, SingularityError
 
 __all__ = [
-    "LatticeConfig",
     "BlochSpectrum",
     "WannierState",
     "GaussianOrbital",
@@ -45,33 +44,11 @@ __all__ = [
 KIN = 1.0 / math.pi**2
 
 
-@dataclass(frozen=True)
-class LatticeConfig:
-    """Periodic 1D lattice: depth u0 (E_rec), n_sites sites, plane-wave
-    cutoff (reciprocal vectors -cutoff..+cutoff)."""
-
-    u0: float
-    n_sites: int = 64
-    cutoff: int = 16
-    samples_per_site: int = 32
-
-    def __post_init__(self):
-        if self.u0 < 0:
-            raise DomainError("lattice depth must be non-negative")
-        if self.n_sites < 8:
-            raise DomainError("need at least 8 lattice sites")
-        if self.cutoff < 8:
-            raise DomainError("plane-wave cutoff must be at least 8")
-        if self.samples_per_site < 4:
-            raise DomainError("need at least 4 samples per site")
-
-
 @dataclass
 class BlochSpectrum:
     """Band energies and lowest-band plane-wave coefficients on the
     quasimomentum grid q_n = 2 pi n / N, n = -N/2 .. N/2 - 1."""
 
-    config: LatticeConfig
     q: np.ndarray                # (N,) quasimomenta in 1/a
     energies: np.ndarray         # (N, 3) in E_rec
     coefficients: np.ndarray     # (N, 2M+1), real
@@ -102,31 +79,38 @@ def zone_grid(n):
     return 2.0 * np.pi * k / n, mirror
 
 
-def band_structure(cfg: LatticeConfig) -> BlochSpectrum:
-    """Diagonalize the plane-wave lattice Hamiltonian on the full q grid and
-    keep its three lowest bands' energies and the lowest band's coefficients.
+def band_structure(u0, n_sites, cutoff) -> BlochSpectrum:
+    """Diagonalize the plane-wave lattice Hamiltonian of depth ``u0`` (E_rec)
+    on the ``n_sites``-point q grid, with reciprocal vectors -cutoff ..
+    +cutoff, and keep its three lowest bands' energies and the lowest band's
+    coefficients.
 
-    Raises ConvergenceError if doubling the cutoff moves the lowest band by
-    more than 1e-8 E_rec at the zone center or edge.
+    Raises DomainError for u0 < 0, n_sites < 8 or cutoff < 8, and
+    ConvergenceError if doubling the cutoff moves the lowest band by more
+    than 1e-8 E_rec at the zone center or edge.
     """
-    n = cfg.n_sites
-    m = cfg.cutoff
-    q, _ = zone_grid(n)
-    energies = np.empty((n, 3))
-    coeffs = np.empty((n, 2 * m + 1))
+    if u0 < 0:
+        raise DomainError("lattice depth must be non-negative")
+    if n_sites < 8:
+        raise DomainError("need at least 8 lattice sites")
+    if cutoff < 8:
+        raise DomainError("plane-wave cutoff must be at least 8")
+    q, _ = zone_grid(n_sites)
+    energies = np.empty((n_sites, 3))
+    coeffs = np.empty((n_sites, 2 * cutoff + 1))
     for i, qi in enumerate(q):
-        w, v = np.linalg.eigh(_bloch_matrix(qi, cfg.u0, m))
+        w, v = np.linalg.eigh(_bloch_matrix(qi, u0, cutoff))
         energies[i] = w[:3]
         coeffs[i] = v[:, 0]
     for qi in (0.0, -np.pi):
-        e_m = np.linalg.eigvalsh(_bloch_matrix(qi, cfg.u0, m))[0]
-        e_2m = np.linalg.eigvalsh(_bloch_matrix(qi, cfg.u0, 2 * m))[0]
+        e_m = np.linalg.eigvalsh(_bloch_matrix(qi, u0, cutoff))[0]
+        e_2m = np.linalg.eigvalsh(_bloch_matrix(qi, u0, 2 * cutoff))[0]
         if abs(e_m - e_2m) > 1e-8:
             raise ConvergenceError(
-                f"plane-wave cutoff {m} not converged at q={qi:.3f}: "
+                f"plane-wave cutoff {cutoff} not converged at q={qi:.3f}: "
                 f"|dE0| = {abs(e_m - e_2m):.3e} E_rec > 1e-8"
             )
-    return BlochSpectrum(config=cfg, q=q, energies=energies, coefficients=coeffs)
+    return BlochSpectrum(q=q, energies=energies, coefficients=coeffs)
 
 
 @dataclass(frozen=True)
@@ -269,8 +253,14 @@ class GaussianOrbital:
         return (8.0 * math.pi * sigma**2) ** 0.25 * np.exp(-(sigma**2) * p**2)
 
 
-def wannier(spectrum: BlochSpectrum, site: int = 0) -> WannierState:
-    """Construct the lowest-band Wannier function localized at ``site``.
+def wannier(spectrum: BlochSpectrum, samples_per_site, site: int = 0) -> WannierState:
+    """Construct the lowest-band Wannier function localized at ``site`` on
+    the grid of ``samples_per_site`` points per lattice constant that covers
+    the spectrum's N sites, with N = len(spectrum.q) and the cutoff read off
+    the coefficients.  Lengths are in units of a.
+
+    Raises DomainError for samples_per_site < 4 and DegenerateBandError where
+    the lowest band touches the next one.
 
     Bloch phases are fixed so that each Bloch function is real and positive
     at the well center of site 0, which makes the Wannier orbital real and
@@ -282,11 +272,12 @@ def wannier(spectrum: BlochSpectrum, site: int = 0) -> WannierState:
     mirror's Bloch function is held until its turn, so the orbital is
     summed in the order of q.
     """
-    cfg = spectrum.config
+    if samples_per_site < 4:
+        raise DomainError("need at least 4 samples per site")
     require_band_gap(spectrum)
-    n = cfg.n_sites
-    ppa = cfg.samples_per_site
-    m = cfg.cutoff
+    n = len(spectrum.q)
+    ppa = samples_per_site
+    m = spectrum.coefficients.shape[1] // 2
     x = np.arange(n * ppa) / ppa
     s = np.arange(-m, m + 1)
     center0 = 0.5
@@ -322,13 +313,13 @@ def wannier(spectrum: BlochSpectrum, site: int = 0) -> WannierState:
     return WannierState(x=x, amplitude=amp, center=site + center0, residual_imag=resid)
 
 
-def lattice_matrix_element(cfg: LatticeConfig, w1: WannierState, w2: WannierState) -> float:
-    """<w1| H_lat |w2> by spectral application of H on the periodic grid."""
-    ppa = cfg.samples_per_site
-    dx = 1.0 / ppa
+def lattice_matrix_element(u0, w1: WannierState, w2: WannierState) -> float:
+    """<w1| H_lat |w2> in E_rec, for the lattice of depth ``u0`` (E_rec), by
+    spectral application of H on the periodic grid of ``w2``."""
+    dx = w2.dx
     k = 2.0 * np.pi * np.fft.fftfreq(len(w2.x), d=dx)
     kinetic = np.fft.ifft(KIN * k**2 * np.fft.fft(w2.amplitude)).real
-    potential = (cfg.u0 / 2.0) * np.cos(2.0 * np.pi * w2.x) * w2.amplitude
+    potential = (u0 / 2.0) * np.cos(2.0 * np.pi * w2.x) * w2.amplitude
     return float(np.sum(w1.amplitude * (kinetic + potential)) * dx)
 
 

@@ -167,13 +167,7 @@ class Model:
     @_stage
     def spectrum(self) -> lattice.BlochSpectrum:
         sc = self.scenario
-        cfg = lattice.LatticeConfig(
-            u0=sc.u0,
-            n_sites=sc.n_sites,
-            cutoff=sc.cutoff,
-            samples_per_site=sc.samples_per_site,
-        )
-        spectrum = lattice.band_structure(cfg)
+        spectrum = lattice.band_structure(sc.u0, sc.n_sites, sc.cutoff)
         self.width  # a zero depth fails as a singular width, not a closed gap
         lattice.require_band_gap(spectrum)
         return spectrum
@@ -188,7 +182,7 @@ class Model:
 
     @_stage
     def wannier0(self) -> lattice.WannierState:
-        return lattice.wannier(self.spectrum, site=0)
+        return lattice.wannier(self.spectrum, self.scenario.samples_per_site)
 
     @_stage
     def profile(self) -> dipole.InteractionProfile:
@@ -216,11 +210,10 @@ class Model:
                     f"coupling scale V_C overflows at lambda_C = {sc.lambda_coupling:g} m"
                 ) from None
             v_c = sc.units.energy_from_si(v_c_si)
-        coupling = dipole.DipoleCoupling(
-            v_c=v_c, lambda_c=sc.lambda_coupling, displacement=sc.displacement
-        )
         with np.errstate(all="ignore"):  # a non-finite profile fails below
-            profile = dipole.interaction_profile(coupling, a_si, dj_max=sc.dj_max)
+            profile = dipole.interaction_profile(
+                v_c, sc.lambda_coupling, sc.displacement, a_si, dj_max=sc.dj_max
+            )
         bad = np.flatnonzero(~np.isfinite(profile.values))
         if len(bad):
             dj = bad[0]

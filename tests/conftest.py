@@ -12,8 +12,7 @@ VDD_LI = -2.16
 
 @pytest.fixture(scope="session")
 def li_spectrum():
-    cfg = lattice.LatticeConfig(u0=U0_LI, n_sites=32, cutoff=16, samples_per_site=32)
-    return lattice.band_structure(cfg)
+    return lattice.band_structure(U0_LI, 32, 16)
 
 
 @pytest.fixture(scope="session")
@@ -23,7 +22,7 @@ def li_hopping(li_spectrum):
 
 @pytest.fixture(scope="session")
 def li_wannier(li_spectrum):
-    return lattice.wannier(li_spectrum, site=0)
+    return lattice.wannier(li_spectrum, 32, site=0)
 
 
 def nearest_only_profile(v_dd0):

@@ -349,7 +349,9 @@ def test_table_that_fails_halfway_is_removed(monkeypatch, tmp_path, capsys):
     _assert_fails_with_one_error_line("distributions", TOY, tmp_path, capsys, pattern)
 
 
-@pytest.mark.parametrize("displacement", ["1e-300 nm", "1e300 nm"])
+# the unit-V_C kernel at dj = 0 is -inf, 0, +0.0028 and +0.11: no V_C >= 0
+# gives V_dd = -2.16 Erec
+@pytest.mark.parametrize("displacement", ["1e-300 nm", "1e300 nm", "300 nm", "400 nm"])
 def test_extreme_displacement_fails_with_one_error_line(displacement, tmp_path, capsys):
     text = TOY.replace("displacement = 40 nm", f"displacement = {displacement}")
     pattern = r"error: nearest-site kernel is \S+ at this tube displacement\n"

@@ -283,8 +283,7 @@ def li_chains():
     at U0 = 6, 7.42 and 12 E_rec on the lattice of li_hopping."""
     profile = pipeline.Model(parse_scenario(LITHIUM_EXAMPLE)).profile
     v_hops = [
-        lattice.hopping_exact(lattice.band_structure(lattice.LatticeConfig(
-            u0=u0, n_sites=32, cutoff=16, samples_per_site=32))).v_hop
+        lattice.hopping_exact(lattice.band_structure(u0, 32, 16)).v_hop
         for u0 in (6.0, U0_LI, 12.0)
     ]
     return profile, v_hops

@@ -82,8 +82,7 @@ def test_polarizability_sign_flips_across_resonance():
 
 
 def test_interaction_profile_nearest_site_dominates():
-    coupling = dipole.DipoleCoupling(v_c=0.05, lambda_c=LAMBDA_C, displacement=L_TUBE)
-    prof = dipole.interaction_profile(coupling, A_LATT, dj_max=4)
+    prof = dipole.interaction_profile(0.05, LAMBDA_C, L_TUBE, A_LATT, dj_max=4)
     assert prof.value(0) < 0
     for dj in range(1, 5):
         assert abs(prof.value(dj)) < 0.01 * abs(prof.value(0))
@@ -91,9 +90,25 @@ def test_interaction_profile_nearest_site_dominates():
     assert prof.value(5) == 0.0
 
 
+@pytest.mark.parametrize("args, message", [
+    ((-1e-3, LAMBDA_C, L_TUBE, A_LATT, 4), "coupling scale V_C must be non-negative"),
+    ((1.0, 0.0, L_TUBE, A_LATT, 4), "lengths must be positive"),
+    ((1.0, -LAMBDA_C, L_TUBE, A_LATT, 4), "lengths must be positive"),
+    ((1.0, LAMBDA_C, 0.0, A_LATT, 4), "lengths must be positive"),
+    ((1.0, LAMBDA_C, L_TUBE, A_LATT, 0), "dj_max must be at least 1"),
+    ((1.0, LAMBDA_C, L_TUBE, 0.0, 4), "lattice constant must be positive"),
+    ((1.0, LAMBDA_C, L_TUBE, -A_LATT, 4), "lattice constant must be positive"),
+], ids=["v_c", "lambda_c-zero", "lambda_c-negative", "displacement", "dj_max", "a-zero",
+        "a-negative"])
+def test_interaction_profile_guards_raise_a_domain_error_with_their_message(args, message):
+    with pytest.raises(DomainError) as raised:
+        dipole.interaction_profile(*args)
+    assert type(raised.value) is DomainError
+    assert str(raised.value) == message
+
+
 def test_interaction_profile_geometry():
-    coupling = dipole.DipoleCoupling(v_c=1.0, lambda_c=LAMBDA_C, displacement=L_TUBE)
-    prof = dipole.interaction_profile(coupling, A_LATT, dj_max=3)
+    prof = dipole.interaction_profile(1.0, LAMBDA_C, L_TUBE, A_LATT, dj_max=3)
     assert prof.separations[0] == pytest.approx(L_TUBE)
     assert prof.angles[0] == pytest.approx(math.pi / 2.0)
     r1 = math.hypot(L_TUBE, A_LATT)
@@ -110,8 +125,7 @@ def test_displacement_warning_beyond_a_quarter_of_the_lattice_constant():
 
 def test_nearest_site_value_vs_near_zone_formula():
     # retardation corrections at k l ~ 0.37 keep the two within 8%
-    coupling = dipole.DipoleCoupling(v_c=0.055, lambda_c=LAMBDA_C, displacement=L_TUBE)
-    prof = dipole.interaction_profile(coupling, A_LATT, dj_max=1)
+    prof = dipole.interaction_profile(0.055, LAMBDA_C, L_TUBE, A_LATT, dj_max=1)
     near = dipole.v_dd_nearest(0.055, LAMBDA_C, L_TUBE)
     assert prof.value(0) == pytest.approx(near, rel=0.08)
 
@@ -119,8 +133,7 @@ def test_nearest_site_value_vs_near_zone_formula():
 def test_coupling_for_nearest_value_anchors_exactly():
     v_c = dipole.coupling_for_nearest_value(-2.16, LAMBDA_C, L_TUBE, A_LATT)
     assert v_c > 0
-    coupling = dipole.DipoleCoupling(v_c=v_c, lambda_c=LAMBDA_C, displacement=L_TUBE)
-    prof = dipole.interaction_profile(coupling, A_LATT, dj_max=4)
+    prof = dipole.interaction_profile(v_c, LAMBDA_C, L_TUBE, A_LATT, dj_max=4)
     assert prof.value(0) == pytest.approx(-2.16, rel=1e-12)
     with pytest.raises(DomainError):
         dipole.coupling_for_nearest_value(2.16, LAMBDA_C, L_TUBE, A_LATT)
@@ -131,6 +144,19 @@ def test_coupling_for_nearest_value_rejects_a_vanishing_or_infinite_kernel(displ
     # the unit-V_C kernel overflows to -inf at 1e-309 m and underflows to 0 at 1e291 m
     with pytest.raises(SingularityError, match="tube displacement"):
         dipole.coupling_for_nearest_value(-2.16, LAMBDA_C, displacement, A_LATT)
+
+
+@pytest.mark.parametrize("displacement", [300e-9, 400e-9])
+def test_coupling_for_nearest_value_rejects_a_repulsive_kernel(displacement):
+    # the unit-V_C kernel at dj = 0 is +0.0028 at 300 nm and +0.11 at 400 nm,
+    # so no V_C >= 0 makes V_dd negative; at 250 nm it is still negative
+    prof = dipole.interaction_profile(1.0, LAMBDA_C, displacement, A_LATT, dj_max=1)
+    assert prof.value(0) > 0
+    with pytest.raises(DomainError) as raised:
+        dipole.coupling_for_nearest_value(-2.16, LAMBDA_C, displacement, A_LATT)
+    assert type(raised.value) is DomainError
+    assert str(raised.value) == f"nearest-site kernel is {prof.value(0)} at this tube displacement"
+    assert dipole.coupling_for_nearest_value(-2.16, LAMBDA_C, 250e-9, A_LATT) > 0
 
 
 def test_lithium_coupling_scale_magnitude():

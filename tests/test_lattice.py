@@ -16,29 +16,44 @@ from lattice_epr.errors import (
 
 def test_config_validation():
     with pytest.raises(DomainError):
-        lattice.LatticeConfig(u0=-1.0)
+        lattice.band_structure(-1.0, 64, 16)
     with pytest.raises(DomainError):
-        lattice.LatticeConfig(u0=5.0, n_sites=4)
+        lattice.band_structure(5.0, 4, 16)
     with pytest.raises(DomainError):
-        lattice.LatticeConfig(u0=5.0, cutoff=2)
+        lattice.band_structure(5.0, 64, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lattice.band_structure(-1.0, 8, 8), "lattice depth must be non-negative"),
+    (lambda: lattice.band_structure(5.0, 7, 8), "need at least 8 lattice sites"),
+    (lambda: lattice.band_structure(5.0, 8, 7), "plane-wave cutoff must be at least 8"),
+    (
+        lambda: lattice.wannier(lattice.band_structure(5.0, 8, 8), 3),
+        "need at least 4 samples per site",
+    ),
+], ids=["u0", "n_sites", "cutoff", "samples_per_site"])
+def test_guards_raise_a_domain_error_with_their_message(call, message):
+    with pytest.raises(DomainError) as raised:
+        call()
+    assert type(raised.value) is DomainError
+    assert str(raised.value) == message
 
 
 def test_free_lattice_band_is_folded_free_dispersion():
-    cfg = lattice.LatticeConfig(u0=0.0, n_sites=32, cutoff=16)
-    spectrum = lattice.band_structure(cfg)
+    spectrum = lattice.band_structure(0.0, 32, 16)
     expected = spectrum.q**2 / math.pi**2
     assert np.allclose(spectrum.lowest_band, expected, atol=1e-12)
 
 
 def test_free_lattice_wannier_gauge_undefined():
-    spectrum = lattice.band_structure(lattice.LatticeConfig(u0=0.0, n_sites=32, cutoff=16))
+    spectrum = lattice.band_structure(0.0, 32, 16)
     with pytest.raises(DegenerateBandError):
-        lattice.wannier(spectrum)
+        lattice.wannier(spectrum, 32)
 
 
 def test_convergence_guard_trips_for_deep_lattice_small_cutoff():
     with pytest.raises(ConvergenceError):
-        lattice.band_structure(lattice.LatticeConfig(u0=600.0, n_sites=8, cutoff=8))
+        lattice.band_structure(600.0, 8, 8)
 
 
 def test_band_ordering_and_gap(li_spectrum):
@@ -60,7 +75,7 @@ def test_hopping_sign_and_bandwidth(li_hopping):
 def test_hopping_decreases_with_depth():
     values = []
     for u0 in (4.0, 8.0, 12.0, 16.0):
-        spectrum = lattice.band_structure(lattice.LatticeConfig(u0=u0, n_sites=16, cutoff=16))
+        spectrum = lattice.band_structure(u0, 16, 16)
         values.append(abs(lattice.hopping_exact(spectrum).v_hop))
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -92,10 +107,9 @@ def test_wannier_mirror_symmetry(li_wannier):
 
 
 def test_neighboring_wanniers_are_orthonormal(li_spectrum):
-    cfg = li_spectrum.config
-    w0 = lattice.wannier(li_spectrum, 0)
-    w1 = lattice.wannier(li_spectrum, 1)
-    overlap = np.sum(w0.amplitude * w1.amplitude) / cfg.samples_per_site
+    w0 = lattice.wannier(li_spectrum, 32, 0)
+    w1 = lattice.wannier(li_spectrum, 32, 1)
+    overlap = np.sum(w0.amplitude * w1.amplitude) / 32
     assert abs(overlap) < 1e-10
 
 
@@ -112,14 +126,13 @@ def test_zone_grid_mirror_maps_each_phase_to_its_negative(n):
     assert np.array_equal(mirror[~paired], np.flatnonzero(~paired))
     no_mirror = np.setdiff1d(np.flatnonzero(k < 0), mirror[paired])
     assert k[no_mirror].tolist() == ([-n // 2] if n % 2 == 0 else [-n // 2, -n // 2 + 1])
-    assert np.array_equal(lattice.band_structure(lattice.LatticeConfig(7.42, n_sites=n)).q, q)
+    assert np.array_equal(lattice.band_structure(7.42, n, 16).q, q)
 
 
-def _wannier_per_q(spectrum, site):
+def _wannier_per_q(spectrum, ppa, site):
     """Reference: one plane-wave table per q, each Bloch function built
     from its own table."""
-    cfg = spectrum.config
-    n, ppa, m = cfg.n_sites, cfg.samples_per_site, cfg.cutoff
+    n, m = len(spectrum.q), spectrum.coefficients.shape[1] // 2
     x = np.arange(n * ppa) / ppa
     s = np.arange(-m, m + 1)
     w = np.zeros(n * ppa, dtype=complex)
@@ -141,18 +154,17 @@ def _wannier_per_q(spectrum, site):
 def test_wannier_equals_one_table_per_q_bit_for_bit(n, site):
     # the tables of -q come from those of q; at odd N the most negative q
     # has no mirror, and a mirror index of N - i builds a wrong orbital
-    spectrum = lattice.band_structure(lattice.LatticeConfig(u0=7.42, n_sites=n))
-    orbital = lattice.wannier(spectrum, site)
-    amp, resid = _wannier_per_q(spectrum, site)
+    spectrum = lattice.band_structure(7.42, n, 16)
+    orbital = lattice.wannier(spectrum, 32, site)
+    amp, resid = _wannier_per_q(spectrum, 32, site)
     assert np.array_equal(orbital.amplitude.view(np.uint64), amp.view(np.uint64))
     assert orbital.residual_imag == resid
 
 
 def test_hopping_matches_wannier_matrix_element(li_spectrum, li_hopping):
-    cfg = li_spectrum.config
-    w0 = lattice.wannier(li_spectrum, 0)
-    w1 = lattice.wannier(li_spectrum, 1)
-    element = lattice.lattice_matrix_element(cfg, w0, w1)
+    w0 = lattice.wannier(li_spectrum, 32, 0)
+    w1 = lattice.wannier(li_spectrum, 32, 1)
+    element = lattice.lattice_matrix_element(7.42, w0, w1)
     assert element == pytest.approx(li_hopping.v_hop, rel=1e-10)
 
 
@@ -181,7 +193,7 @@ def test_effective_mass_single(li_hopping, li_spectrum):
 
 
 def test_effective_mass_estimates_converge_for_deep_lattice():
-    spectrum = lattice.band_structure(lattice.LatticeConfig(u0=20.0, n_sites=64, cutoff=16))
+    spectrum = lattice.band_structure(20.0, 64, 16)
     hop = lattice.hopping_exact(spectrum)
     m_hop = lattice.effective_mass_single(hop.v_hop)
     m_curv = lattice.effective_mass_from_band(spectrum)

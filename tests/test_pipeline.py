@@ -433,9 +433,9 @@ def test_sweep_builds_each_unreachable_stage_once(
     band_structure = lattice.band_structure
     block = diatom.TwoAtomHamiltonian.block
 
-    def counted_band_structure(cfg):
+    def counted_band_structure(*args):
         calls.append("band_structure")
-        return band_structure(cfg)
+        return band_structure(*args)
 
     def counted_block(self, theta):
         calls.append("block")
