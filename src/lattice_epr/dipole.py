@@ -137,10 +137,10 @@ def coupling_for_nearest_value(v_dd0, lambda_c, displacement, a):
     Used when a scenario pins the nearest-site interaction energy directly
     instead of specifying the coupling-laser chain.  ``v_dd0`` must be
     negative (attractive nearest-site minimum), and so must the unit-V_C
-    kernel at dj = 0, since V_C >= 0: it is positive where the tube
-    displacement l is too large a share of lambda_C (300 nm at 670.8 nm).
-    Raises SingularityError for a vanishing or non-finite kernel and
-    DomainError for a positive one.
+    kernel at dj = 0, since V_C >= 0.  The kernel turns positive where the
+    tube displacement l is too large a share of lambda_C, as at l = 300 nm
+    for lambda_C = 670.8 nm.  Raises SingularityError for a vanishing or
+    non-finite kernel and DomainError for a positive one.
     """
     if v_dd0 >= 0:
         raise DomainError("nearest-site dipole-dipole energy must be negative")
